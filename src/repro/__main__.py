@@ -1,47 +1,43 @@
-"""Command-line entry point: regenerate the paper's figures and ablations.
+"""Command-line entry point: regenerate the paper's figures, run the soaks.
 
-Usage::
-
-    python -m repro fig9    [--n LOG2] [--c RATIO]
-    python -m repro fig10   [--n LOG2]
-    python -m repro sweep-c | sweep-routing | sweep-gamma
-    python -m repro trace   [--n LOG2] [--seed S] [--out trace.json]
-    python -m repro metrics [--n LOG2] [--seed S] [--interval DT]
-                            [--out metrics.json] [--prom metrics.prom]
-    python -m repro chaos   [--n LOG2] [--seeds K] [--seed0 S] [--apps LIST]
-                            [--amp-bound X] [--out chaos_report.json]
-                            [--list-apps]
-    python -m repro partition [--n LOG2] [--out partition_report.json]
-    python -m repro recover [--n LOG2] [--seeds K] [--seed S]
-                            [--out recover_report.json]
-    python -m repro serve   [--jobs N] [--seed S] [--policies LIST]
-                            [--loads LIST] [--out serve_report.json]
-    python -m repro critpath [--n LOG2] [--seed S] [--out blame.json]
-                            [--folded stacks.folded] [--what-if disk=2.0]
-                            [--validate] [--serve]
-    python -m repro all     [--n LOG2]
+``python -m repro --help`` lists the targets and every option (each option's
+help names the targets that read it).  The target list is generated from
+:func:`_targets`, the one dispatch table, so it cannot drift from what runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
+
+
+def _targets() -> dict[str, Callable]:
+    """target -> handler(args, n_records) returning the exit code."""
+    from .bench.soak import SWEEPS
+
+    figures = ("fig9", "fig10", "sweep-c", "sweep-routing", "sweep-gamma")
+    return {
+        **dict.fromkeys(figures, _run_figures),
+        "trace": _run_trace,
+        "metrics": _run_metrics,
+        "chaos": _run_chaos,
+        **dict.fromkeys(SWEEPS, _run_sweep),
+        "serve": _run_serve,
+        "critpath": _run_critpath,
+        "all": _run_figures,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
+    targets = _targets()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate figures from 'Distributed Computing with "
         "Load-Managed Active Storage' (HPDC 2002).",
     )
     parser.add_argument(
-        "target",
-        choices=[
-            "fig9", "fig10", "sweep-c", "sweep-routing", "sweep-gamma",
-            "trace", "metrics", "chaos", "recover", "replicate", "partition",
-            "serve", "critpath", "all",
-        ],
-        help="which experiment to run",
+        "target", choices=list(targets), help="which experiment to run",
     )
     parser.add_argument(
         "--n", type=int, default=17, metavar="LOG2",
@@ -53,12 +49,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="workload/routing seed for the traced run (default 0)",
+        help="workload/routing seed: trace, metrics, critpath, serve, and the "
+        "reference + every case of recover/replicate/partition (default 0)",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH",
-        help="output path: trace writes Chrome trace JSON (default "
-        "trace.json), metrics writes the metrics export (default metrics.json)",
+        help="output path (default <target>_report.json for the soaks, "
+        "trace.json, metrics.json, critpath_blame.json)",
     )
     parser.add_argument(
         "--interval", type=float, default=0.01, metavar="DT",
@@ -70,7 +67,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--seeds", type=int, default=12, metavar="K",
-        help="chaos: number of fault-schedule seeds to sweep (default 12)",
+        help="chaos: number of fault-schedule seeds; recover/replicate: "
+        "number of kill instants (default 12)",
     )
     parser.add_argument(
         "--seed0", type=int, default=0,
@@ -94,9 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="W",
-        help="chaos/recover: worker processes for the seed sweep (default "
-        "REPRO_BENCH_WORKERS or the CPU count; results are merged in seed "
-        "order, so the report is identical for any worker count)",
+        help="chaos/recover/replicate/partition: worker processes for the "
+        "sweep (default REPRO_BENCH_WORKERS or the CPU count; results are "
+        "merged in sweep order, so the report is identical for any worker "
+        "count)",
     )
     parser.add_argument(
         "--jobs", type=int, default=80, metavar="N",
@@ -131,27 +130,11 @@ def main(argv: list[str] | None = None) -> int:
         "burn-rate alerts) instead of a single sort",
     )
     args = parser.parse_args(argv)
-    n = 1 << args.n
+    return targets[args.target](args, 1 << args.n)
 
-    if args.target == "chaos":
-        return _run_chaos(args, n)
-    if args.target == "recover":
-        return _run_recover(args, n)
-    if args.target == "replicate":
-        return _run_replicate(args, n)
-    if args.target == "partition":
-        return _run_partition(args, n)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "critpath":
-        return _run_critpath(args, n)
-    if args.target == "trace":
-        return _run_trace(n, args.seed, args.out or "trace.json")
-    if args.target == "metrics":
-        return _run_metrics(
-            n, args.seed, args.interval, args.out or "metrics.json", args.prom
-        )
 
+def _run_figures(args, n: int) -> int:
+    """One figure or ablation table, or with ``all`` every one in turn."""
     from .bench import (
         run_figure9,
         run_figure10,
@@ -160,25 +143,19 @@ def main(argv: list[str] | None = None) -> int:
         sweep_routing,
     )
 
-    def fig9():
-        print(run_figure9(n_records=n, c=args.c).render())
-
-    def fig10():
-        print(run_figure10(n_records=n).render())
-
-    runners = {
-        "fig9": fig9,
-        "fig10": fig10,
-        "sweep-c": lambda: print(sweep_c(n_records=min(n, 1 << 17)).render()),
-        "sweep-routing": lambda: print(sweep_routing(n_records=min(n, 1 << 17)).render()),
-        "sweep-gamma": lambda: print(sweep_gamma_split(n_records=min(n, 1 << 16)).render()),
+    figures = {
+        "fig9": lambda: run_figure9(n_records=n, c=args.c),
+        "fig10": lambda: run_figure10(n_records=n),
+        "sweep-c": lambda: sweep_c(n_records=min(n, 1 << 17)),
+        "sweep-routing": lambda: sweep_routing(n_records=min(n, 1 << 17)),
+        "sweep-gamma": lambda: sweep_gamma_split(n_records=min(n, 1 << 16)),
     }
-    if args.target == "all":
-        for name, fn in runners.items():
+    if args.target != "all":
+        figures = {args.target: figures[args.target]}
+    for name, fn in figures.items():
+        if args.target == "all":
             print(f"=== {name} ===")
-            fn()
-    else:
-        runners[args.target]()
+        print(fn().render())
     return 0
 
 
@@ -213,432 +190,17 @@ def _run_chaos(args, n: int) -> int:
     return 0 if report.ok else 1
 
 
-def _recover_case(task: tuple) -> dict:
-    """One supervised kill/resume case — module-level so it pickles.
+def _run_sweep(args, n: int) -> int:
+    """Soak sweep (recover / replicate / partition): see repro.bench.soak."""
+    from .bench.soak import SWEEPS, run_sweep
 
-    Byte-identity against the reference output is checked by SHA-256
-    digest, so the (potentially remote) worker never needs the reference
-    array itself.
-    """
-    import hashlib
-
-    from .recovery.checkpoint import RecoverableSort
-    from .recovery.supervisor import RestartBudget
-
-    params, cfg, seed, frac, t0, ref_digest = task
-    sort = RecoverableSort(params, cfg, seed=seed, policy="sr")
-    rep = sort.run_supervised(
-        crashes=[frac * t0], budget=RestartBudget(max_restarts=3)
+    return run_sweep(
+        SWEEPS[args.target], n, args.seed, args.seeds,
+        args.out or f"{args.target}_report.json", workers=args.workers,
     )
-    identical = bool(
-        rep.completed
-        and hashlib.sha256(sort.output().tobytes()).hexdigest() == ref_digest
-    )
-    return {
-        "crash_frac": frac,
-        "crash_at": frac * t0,
-        "completed": bool(rep.completed),
-        "n_attempts": rep.n_attempts,
-        "n_crashes": rep.n_crashes,
-        "total_virtual_time": rep.total_virtual_time,
-        "manifest_bytes": int(sort.manifest.bytes_logged),
-        "byte_identical": identical,
-    }
 
 
-def _run_recover(args, n: int) -> int:
-    """Checkpoint/restart demonstration: kill the coordinator, resume, verify.
-
-    Runs one uninterrupted reference sort, then ``--seeds`` supervised runs
-    each killed at a different fraction of the reference makespan.  Every
-    resumed run must produce output byte-identical to the reference; the
-    canonical JSON report is written for CI to gate on.  Exits nonzero if
-    any resume diverged.
-    """
-    import hashlib
-    import json
-
-    from .bench.parallel import parallel_map
-    from .bench.report import SCHEMA_VERSION, render_table
-    from .core.config import DSMConfig
-    from .recovery.checkpoint import RecoverableSort
-    from .resilience.chaos import chaos_params
-
-    n = min(n, 1 << 14)  # K supervised two-pass sorts; keep the sweep fast
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n, alpha=8, gamma=16)
-
-    ref = RecoverableSort(params, cfg, seed=args.seed, policy="sr")
-    rep0 = ref.run_supervised()
-    ref.verify()
-    t0 = rep0.total_virtual_time
-    out_ref = ref.output()
-    digest = hashlib.sha256(out_ref.tobytes()).hexdigest()
-    print(f"reference: {n} records in {t0:.4f}s, sha256={digest[:16]}")
-
-    k = max(1, args.seeds)
-    tasks = [
-        (params, cfg, args.seed, (i + 1) / (k + 1), t0, digest)
-        for i in range(k)
-    ]
-    # Every case is an independent supervised run; fan out across worker
-    # processes, merging in kill-fraction order (deterministic report).
-    cases = parallel_map(_recover_case, tasks, workers=args.workers)
-    rows = []
-    for case in cases:
-        resume = case["total_virtual_time"] - case["crash_at"]
-        rows.append([
-            f"{case['crash_frac']:.2f}", f"{case['crash_at']:.4f}",
-            case["n_attempts"], f"{case['total_virtual_time']:.4f}",
-            f"{resume:.4f}", "yes" if case["byte_identical"] else "NO",
-        ])
-    print()
-    print(render_table(
-        ["kill frac", "kill at (s)", "attempts", "total (s)", "resume (s)",
-         "identical"],
-        rows,
-        title=f"coordinator kill sweep, N={n}, T0={t0:.4f}s",
-    ))
-    ok = all(c["byte_identical"] for c in cases)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "n_records": n,
-        "seed": args.seed,
-        "t0": t0,
-        "reference_sha256": digest,
-        "cases": cases,
-        "ok": ok,
-    }
-    out = args.out or "recover_report.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    print(f"{'PASS' if ok else 'FAIL'}: "
-          f"{sum(c['byte_identical'] for c in cases)}/{len(cases)} resumes "
-          f"byte-identical -> {out}")
-    return 0 if ok else 1
-
-
-_REPLICATE_HB = dict(heartbeat_interval=0.002, heartbeat_timeout=0.008)
-
-
-def _replicate_case(task: tuple) -> dict:
-    """One kill case of the replication sweep — module-level so it pickles.
-
-    Runs a replicated (or r=1 baseline) sort with one ASU killed at a fixed
-    instant and checks the end-to-end contract: the job completes, the
-    output is byte-identical to the uninterrupted reference, and with r >= 2
-    recovery is pure promotion — zero fragment replay AND zero run
-    re-emission.
-    """
-    import hashlib
-
-    from .core.config import DSMConfig  # noqa: F401  (unpickled params use it)
-    from .dsmsort.runtime import DsmSortJob
-    from .faults.injector import FaultPlan, crash_asu
-    from .replica import ReplicationConfig
-
-    params, cfg, seed, r, asu, frac, t_kill, ref_digest = task
-    job = DsmSortJob(
-        params, cfg, policy="sr", seed=seed,
-        faults=FaultPlan([crash_asu(t_kill, asu)]),
-        replication=ReplicationConfig(r=r) if r > 1 else ReplicationConfig(r=1),
-        **_REPLICATE_HB,
-    )
-    r1 = job.run_pass1()
-    job.run_pass2()
-    job.verify()
-    digest = hashlib.sha256(job.collected_output().tobytes()).hexdigest()
-    zero_replay = r1.n_replayed_frags == 0 and r1.n_reemitted_runs == 0
-    ok = bool(
-        r1.completed
-        and digest == ref_digest
-        and (r < 2 or zero_replay)
-    )
-    return {
-        "r": r,
-        "asu": asu,
-        "kill_frac": frac,
-        "kill_at": t_kill,
-        "completed": bool(r1.completed),
-        "makespan": r1.makespan,
-        "n_replayed_frags": int(r1.n_replayed_frags),
-        "n_reemitted_runs": int(r1.n_reemitted_runs),
-        "n_promoted_runs": int(r1.n_promoted_runs),
-        "n_repaired_copies": int(r1.n_repaired_copies),
-        "byte_identical": bool(digest == ref_digest),
-        "ok": ok,
-    }
-
-
-def _run_replicate(args, n: int) -> int:
-    """Replication kill sweep: every ASU, several instants, r in {1,2,3}.
-
-    One uninterrupted reference fixes the expected output bytes (identical
-    for every r — replication changes placement, never content).  Each case
-    kills one ASU at one fraction of the fault-free makespan; r >= 2 cases
-    must complete with zero fragment replay and zero run re-emission
-    (promotion-based takeover), and every case must reproduce the reference
-    bytes.  The canonical JSON report is written for CI to gate on.
-    """
-    import hashlib
-    import json
-
-    from .bench.parallel import parallel_map
-    from .bench.report import SCHEMA_VERSION, render_table
-    from .core.config import DSMConfig
-    from .dsmsort.runtime import DsmSortJob
-    from .faults.injector import FaultPlan
-    from .replica import ReplicationConfig
-    from .resilience.chaos import chaos_params
-
-    n = min(n, 1 << 14)  # many two-pass sorts; keep the sweep fast
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n, alpha=8, gamma=16)
-    r_values = (1, 2, 3)
-
-    # Fault-free references: one per r for the makespan overhead baseline;
-    # the output digest is shared (content is placement-independent).
-    t0 = {}
-    digest = None
-    for r in r_values:
-        job = DsmSortJob(
-            params, cfg, policy="sr", seed=args.seed,
-            faults=FaultPlan([]), replication=ReplicationConfig(r=r),
-            **_REPLICATE_HB,
-        )
-        res = job.run_pass1()
-        job.run_pass2()
-        job.verify()
-        t0[r] = res.makespan
-        d = hashlib.sha256(job.collected_output().tobytes()).hexdigest()
-        if digest is None:
-            digest = d
-        elif d != digest:
-            print(f"FAIL: fault-free r={r} output diverged from r=1")
-            return 1
-    print(f"reference: {n} records, sha256={digest[:16]}, "
-          + ", ".join(f"t0[r={r}]={t0[r]:.4f}s" for r in r_values))
-
-    k = max(1, args.seeds)
-    fracs = [(i + 1) / (k + 1) for i in range(k)]
-    tasks = [
-        (params, cfg, args.seed, r, asu, frac, frac * t0[r], digest)
-        for r in r_values
-        for asu in range(params.n_asus)
-        for frac in fracs
-    ]
-    cases = parallel_map(_replicate_case, tasks, workers=args.workers)
-
-    rows = []
-    for r in r_values:
-        sub = [c for c in cases if c["r"] == r]
-        overhead = [c["makespan"] - t0[r] for c in sub]
-        rows.append([
-            r, len(sub),
-            sum(c["n_replayed_frags"] for c in sub),
-            sum(c["n_reemitted_runs"] for c in sub),
-            sum(c["n_promoted_runs"] for c in sub),
-            f"{sum(overhead) / len(sub):.4f}",
-            "yes" if all(c["byte_identical"] for c in sub) else "NO",
-            "yes" if all(c["ok"] for c in sub) else "NO",
-        ])
-    print()
-    print(render_table(
-        ["r", "cases", "replayed", "reemitted", "promoted",
-         "mean recovery (s)", "identical", "ok"],
-        rows,
-        title=f"ASU kill sweep, N={n}, {params.n_asus} ASUs x "
-              f"{len(fracs)} instants",
-    ))
-    ok = all(c["ok"] for c in cases)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "n_records": n,
-        "seed": args.seed,
-        "t0": {str(r): t0[r] for r in r_values},
-        "reference_sha256": digest,
-        "cases": cases,
-        "ok": ok,
-    }
-    out = args.out or "replicate_report.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    print(f"{'PASS' if ok else 'FAIL'}: {sum(c['ok'] for c in cases)}/"
-          f"{len(cases)} kill cases clean -> {out}")
-    return 0 if ok else 1
-
-
-def _partition_case(task: tuple) -> dict:
-    """One grid point of the partition sweep — module-level so it pickles.
-
-    Runs the replicated sort (r=2, network-borne detection) under one
-    seeded cut and checks the split-brain-safety contract: the job
-    completes, the two-pass output verifies as a sorted permutation, and
-    its bytes are identical to the uninterrupted reference — no double
-    writes crossed an epoch fence, no records died with the cut.
-    """
-    import hashlib
-
-    from .core.config import DSMConfig  # noqa: F401  (unpickled params use it)
-    from .dsmsort.runtime import DsmSortJob
-    from .faults.injector import FaultPlan, crash_asu, crash_host, partition
-    from .replica import ReplicationConfig
-    from .resilience.chaos import _policy_for
-
-    (params, cfg, cut_asus, cut_hosts, dur_frac, asymmetry, kill,
-     t0, ref_digest) = task
-    start = 0.25 * t0
-    duration = dur_frac * t0
-    faults = [partition(start, cut_asus, hosts=cut_hosts,
-                        duration=duration, asymmetry=asymmetry)]
-    if kill:
-        t_kill = start + 0.4 * duration
-        if cut_asus:
-            faults.append(crash_asu(t_kill, cut_asus[0]))
-        else:
-            faults.append(crash_host(t_kill, cut_hosts[0]))
-    job = DsmSortJob(
-        params, cfg, policy="sr", seed=0, faults=FaultPlan(faults),
-        transport="reliable", retry_policy=_policy_for(t0),
-        replication=ReplicationConfig(r=2),
-        heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10,
-        detection_mode="network", probe_timeout=t0 / 10,
-    )
-    r1 = job.run_pass1(deadline=20.0 * t0)
-    sorted_ok = False
-    digest = None
-    if r1.completed:
-        job.run_pass2()
-        try:
-            job.verify()
-            sorted_ok = True
-        except Exception:
-            sorted_ok = False
-        digest = hashlib.sha256(job.collected_output().tobytes()).hexdigest()
-    identical = bool(sorted_ok and digest == ref_digest)
-    cut = [f"asu{d}" for d in cut_asus] + [f"host{h}" for h in cut_hosts]
-    return {
-        "cut": ",".join(cut),
-        "asymmetry": asymmetry,
-        "duration_frac": dur_frac,
-        "killed_in_cut": bool(kill),
-        "completed": bool(r1.completed),
-        "makespan": r1.makespan,
-        "n_epoch_rejections": int(r1.n_epoch_rejections),
-        "n_readmitted": int(r1.n_readmitted),
-        "n_reconciled_runs": int(r1.n_reconciled_runs),
-        "n_divergent_copies": int(r1.n_divergent_copies),
-        "n_dup_frags_dropped": int(r1.n_dup_frags_dropped),
-        "n_takeover_blocks": int(r1.n_takeover_blocks),
-        "view_epoch": int(r1.view_epoch),
-        "byte_identical": identical,
-        "ok": bool(r1.completed and sorted_ok and identical),
-    }
-
-
-def _run_partition(args, n: int) -> int:
-    """Partition sweep: cut group x window length x asymmetry x mid-cut kill.
-
-    Every grid point runs the replicated sort (r=2) with network-borne
-    failure detection under one cut and must reproduce the fault-free
-    reference bytes — the end-to-end proof that epoch fencing makes
-    takeover split-brain safe (docs/PARTITIONS.md).  The sweep additionally
-    requires that at least one asymmetric ("out") scenario rejected
-    stale-epoch writes: the fences must be *observed* working, not just
-    never tested.  Canonical JSON report for CI; exits nonzero on any
-    violation.
-    """
-    import hashlib
-    import json
-
-    from .bench.parallel import parallel_map
-    from .bench.report import SCHEMA_VERSION, render_table
-    from .core.config import DSMConfig
-    from .dsmsort.runtime import DsmSortJob
-    from .faults.injector import FaultPlan
-    from .replica import ReplicationConfig
-    from .resilience.chaos import _dsmsort_t0, _policy_for, chaos_params
-
-    n = min(n, 1 << 13)  # 36 replicated two-pass sorts; keep the sweep fast
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n, alpha=8, gamma=16)
-    t0 = _dsmsort_t0(n)
-
-    ref = DsmSortJob(
-        params, cfg, policy="sr", seed=args.seed, faults=FaultPlan([]),
-        transport="reliable",
-        retry_policy=_policy_for(t0), replication=ReplicationConfig(r=2),
-        heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10,
-        detection_mode="network", probe_timeout=t0 / 10,
-    )
-    ref.run_pass1()
-    ref.run_pass2()
-    ref.verify()
-    digest = hashlib.sha256(ref.collected_output().tobytes()).hexdigest()
-    print(f"reference: {n} records, T0={t0:.4f}s, sha256={digest[:16]}")
-
-    cuts = [((1,), ()), ((1, 2), ()), ((), (1,))]
-    dur_fracs = [0.08, 0.5]
-    asymmetries = ["both", "out", "in"]
-    tasks = [
-        (params, cfg, cut_asus, cut_hosts, dur_frac, asym, kill, t0, digest)
-        for cut_asus, cut_hosts in cuts
-        for dur_frac in dur_fracs
-        for asym in asymmetries
-        for kill in (False, True)
-    ]
-    cases = parallel_map(_partition_case, tasks, workers=args.workers)
-
-    rows = [
-        [
-            c["cut"], c["asymmetry"], f"{c['duration_frac']:.2f}",
-            "yes" if c["killed_in_cut"] else "no",
-            c["n_epoch_rejections"], c["n_readmitted"],
-            c["n_reconciled_runs"], c["view_epoch"],
-            "yes" if c["byte_identical"] else "NO",
-            "ok" if c["ok"] else "FAIL",
-        ]
-        for c in cases
-    ]
-    print()
-    print(render_table(
-        ["cut", "mode", "dur/T0", "kill", "rejects", "readmits",
-         "reconciled", "epoch", "identical", "result"],
-        rows,
-        title=f"partition sweep, N={n}, r=2, {len(cases)} cuts",
-    ))
-    # the fences must be observed rejecting stale writes somewhere in the
-    # asymmetric half of the grid, or the no-split-brain claim is vacuous
-    fencing_exercised = any(
-        c["n_epoch_rejections"] > 0
-        for c in cases
-        if c["asymmetry"] in ("out", "both")
-    )
-    ok = all(c["ok"] for c in cases) and fencing_exercised
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "n_records": n,
-        "seed": args.seed,
-        "t0": t0,
-        "reference_sha256": digest,
-        "fencing_exercised": fencing_exercised,
-        "cases": cases,
-        "ok": ok,
-    }
-    out = args.out or "partition_report.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    print(f"{'PASS' if ok else 'FAIL'}: {sum(c['ok'] for c in cases)}/"
-          f"{len(cases)} cuts clean, "
-          f"fencing {'exercised' if fencing_exercised else 'NEVER FIRED'} "
-          f"-> {out}")
-    return 0 if ok else 1
-
-
-def _run_serve(args) -> int:
+def _run_serve(args, n: int) -> int:
     """Multi-tenant serving sweep: queue policies across rising offered load.
 
     Runs the default 3-tenant, mixed-app scenario under each policy at each
@@ -721,76 +283,74 @@ def _run_critpath(args, n: int) -> int:
     return 0
 
 
-def _run_trace(n: int, seed: int, out: str) -> int:
-    """Run a traced DSM-Sort (both passes) and export the observability data.
-
-    A small 4-ASU / 2-host platform keeps the traced run fast; the trace is
-    deterministic for a given (n, seed), so two identical invocations write
-    byte-identical JSON.
-    """
+def _observed_sort(args, n: int, **observers):
+    """Two-pass sort on a small 4-ASU / 2-host platform with ``observers``
+    (tracer, metrics registry, ...) attached; prints and returns the passes."""
     from .bench import fig10_params
     from .core.config import ConfigSolver
     from .dsmsort import DsmSortJob
-    from .trace import ProfileReport, Tracer, write_chrome_trace
 
     params = fig10_params(n_asus=4, n_hosts=2)
     config = ConfigSolver(params).config_for_alpha(n, 16)
-    tracer = Tracer()
-    job = DsmSortJob(params, config, policy="sr", seed=seed, tracer=tracer)
+    job = DsmSortJob(params, config, policy="sr", seed=args.seed, **observers)
     r1 = job.run_pass1()
     r2 = job.run_pass2()
     job.verify()
-    write_chrome_trace(tracer, out)
-    makespan = r1.makespan + r2.makespan
-    print(f"sorted {n} records in {makespan:.3f}s "
+    print(f"sorted {n} records in {r1.makespan + r2.makespan:.3f}s "
           f"(pass1 {r1.makespan:.3f}s, pass2 {r2.makespan:.3f}s)")
+    return r1, r2
+
+
+def _run_trace(args, n: int) -> int:
+    """Run a traced DSM-Sort (both passes) and export the observability data.
+
+    The trace is deterministic for a given (n, seed), so two identical
+    invocations write byte-identical JSON.
+    """
+    from .trace import ProfileReport, Tracer, write_chrome_trace
+
+    tracer = Tracer()
+    r1, r2 = _observed_sort(args, n, tracer=tracer)
+    out = args.out or "trace.json"
+    write_chrome_trace(tracer, out)
     print(f"wrote {tracer.n_events()} trace events to {out}")
     print()
-    print(ProfileReport.from_tracer(tracer, makespan=makespan).render())
+    print(ProfileReport.from_tracer(
+        tracer, makespan=r1.makespan + r2.makespan
+    ).render())
     return 0
 
 
-def _run_metrics(n: int, seed: int, interval: float, out: str, prom) -> int:
+def _run_metrics(args, n: int) -> int:
     """Run a metered DSM-Sort (both passes) and summarise the registry.
 
-    Same platform/workload as ``trace`` — a 4-ASU / 2-host skewed sort —
-    but with the metrics registry attached: every queue depth, device
-    utilization, and stage latency lands in instruments, scraped each
-    ``interval`` virtual seconds.  Deterministic: same (n, seed, interval)
-    writes a byte-identical metrics JSON.
+    Same platform as ``trace``, on a skewed workload, with the metrics
+    registry attached: every queue depth, device utilization, and stage
+    latency lands in instruments, scraped each ``interval`` virtual
+    seconds.  Deterministic: same (n, seed, interval) writes a
+    byte-identical metrics JSON.
     """
     import math
 
-    from .bench import fig10_params
     from .bench.report import render_table
-    from .core.config import ConfigSolver
-    from .dsmsort import DsmSortJob
     from .metrics import MetricsRegistry, metrics_json, prometheus_text
 
-    params = fig10_params(n_asus=4, n_hosts=2)
-    config = ConfigSolver(params).config_for_alpha(n, 16)
     registry = MetricsRegistry()
-    job = DsmSortJob(
-        params, config, policy="sr", seed=seed,
-        metrics=registry, scrape_interval=interval,
+    _r1, r2 = _observed_sort(
+        args, n, metrics=registry, scrape_interval=args.interval,
         workload="half_uniform_half_exponential",
     )
-    r1 = job.run_pass1()
-    r2 = job.run_pass2()
-    job.verify()
-    makespan = r1.makespan + r2.makespan
     collector = registry.collector
+    out = args.out or "metrics.json"
     with open(out, "w") as fh:
         fh.write(metrics_json(registry, collector))
         fh.write("\n")
-    print(f"sorted {n} records in {makespan:.3f}s "
-          f"(pass1 {r1.makespan:.3f}s, pass2 {r2.makespan:.3f}s)")
     print(f"{len(registry)} instruments, {collector.n_samples()} samples "
           f"at dt={collector.interval}s -> {out}")
-    if prom:
-        with open(prom, "w") as fh:
+    if args.prom:
+        with open(args.prom, "w") as fh:
             fh.write(prometheus_text(registry, t=r2.makespan))
-        print(f"wrote Prometheus text exposition to {prom}")
+        print(f"wrote Prometheus text exposition to {args.prom}")
 
     # -- top queues by peak depth -----------------------------------------
     queues = [

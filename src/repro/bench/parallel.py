@@ -1,10 +1,10 @@
 """Process-parallel seed sweeps with deterministic merge order.
 
-Multi-seed soaks (``repro chaos``, ``repro recover``) run one independent
-emulation per seed; :func:`parallel_map` fans those cases out across worker
-processes and returns the results **in input order**, so a report assembled
-from them is byte-identical to the sequential run no matter which worker
-finishes first.  Parallelism only changes wall-clock, never results: each
+Multi-case soaks (``repro chaos`` and the :mod:`repro.bench.soak` sweeps) run
+one independent emulation per case; :func:`parallel_map` fans those cases out
+across worker processes and returns the results **in input order**, so a
+report assembled from them is byte-identical to the sequential run no matter
+which worker finishes first.  Parallelism only changes wall-clock, never results: each
 case runs a whole deterministic simulation inside one process with no shared
 state.
 

@@ -18,11 +18,26 @@ SCHEMA_VERSION = 1
 
 __all__ = [
     "SCHEMA_VERSION",
+    "canonical_json",
+    "write_canonical_json",
     "render_table",
     "render_series_table",
     "ascii_plot",
     "write_bench_json",
 ]
+
+
+def canonical_json(obj) -> str:
+    """The one byte-stable JSON spelling every committed report uses: sorted
+    keys, fixed separators.  NaN/Infinity are refused — they are not JSON, and
+    a NaN never equals itself, so one in a golden-diffed report is a bug."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def write_canonical_json(path: str, obj) -> None:
+    """Write ``obj`` to ``path`` as one :func:`canonical_json` line."""
+    with open(path, "w") as fh:
+        fh.write(canonical_json(obj) + "\n")
 
 
 def write_bench_json(name: str, payload: Mapping, out_dir: Optional[str] = None) -> Optional[str]:
@@ -42,9 +57,7 @@ def write_bench_json(name: str, payload: Mapping, out_dir: Optional[str] = None)
     payload.setdefault("schema_version", SCHEMA_VERSION)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{name}.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    write_canonical_json(path, payload)
     return path
 
 

@@ -20,10 +20,10 @@ flamegraph file are byte-identical across runs of the same (n, seed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..bench.report import canonical_json, render_table, write_canonical_json
 from .graph import BLAME_BUCKETS, CAT_BUCKET, EDGE_BUCKET, CausalGraph
 from .slo import SLOMonitor
 
@@ -88,16 +88,12 @@ class CritPathReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_canonical_json(path, self.as_dict())
 
     def render(self) -> str:
-        from ..bench.report import render_table
-
         total = sum(self.blame.values()) or 1.0
         rows = [
             [b, f"{self.blame.get(b, 0.0):.6f}",

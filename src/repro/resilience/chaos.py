@@ -27,28 +27,44 @@ chaos`` (see ``docs/RESILIENCE.md``).
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..bench.report import SCHEMA_VERSION, render_table
+from ..bench.parallel import parallel_map
+from ..bench.report import SCHEMA_VERSION, canonical_json, render_table, write_canonical_json
 from ..core.config import DSMConfig
+from ..dsmsort.runtime import DsmSortJob
 from ..emulator.params import SystemParams
 from ..emulator.platform import ActivePlatform
-from ..faults.injector import FaultPlan, Injector, RandomFaultModel, drop_msg
+from ..faults.injector import (
+    FaultPlan, Injector, RandomFaultModel, crash_asu, crash_host, degrade_asu,
+    drop_msg, partition,
+)
 from ..functors.basic import FilterFunctor
+from ..recovery.checkpoint import RecoverableSort
+from ..recovery.manifest import CheckpointError
+from ..recovery.speculate import SpeculationPolicy
+from ..recovery.supervisor import RestartBudget
+from ..replica import ReplicationConfig
+from ..sched import (
+    JobState, OpenLoopWorkload, Scheduler, ServiceOracle, default_mix,
+    default_tenants, estimate_capacity, serve_params, summarize_outcome,
+)
 from ..util.distributions import make_workload
-from ..util.records import concat_records
-from ..util.rng import RngRegistry
+from ..util.records import concat_records, sort_records
+from ..util.rng import RngRegistry, derive_seed
 from .breaker import BreakerBoard
 from .channel import ReliableEndpoint, RetryPolicy
 from .io import read_resilient
 
 __all__ = [
-    "ChaosReport", "ResilientFilterScan", "chaos_params", "list_chaos_apps",
-    "run_chaos",
+    "ChaosApp", "ChaosReport", "ResilientFilterScan", "chaos_cell",
+    "chaos_params", "cut_plan", "dsmsort_t0", "fence_counters",
+    "list_chaos_apps", "partition_scenario", "reliable_job", "run_chaos",
+    "sort_verified",
 ]
 
 
@@ -82,13 +98,11 @@ def _policy_for(t0: float, max_attempts: Optional[int] = None) -> RetryPolicy:
     )
 
 
-def _fault_model(seed: int, t0: float) -> RandomFaultModel:
-    """The per-seed chaos schedule generator for DSM-Sort (crashes included)."""
-    return RandomFaultModel(
+def _fault_plan(seed: int, t0: float, **device_faults) -> FaultPlan:
+    """Per-seed chaos schedule: message/disk faults scaled to ``t0``, plus
+    the app's own ``device_faults`` (crashes, degradations)."""
+    model = RandomFaultModel(
         seed=seed,
-        mttf_asu=8.0 * t0,
-        mttf_host=16.0 * t0,
-        max_crashes=1,
         mtt_drop=1.5 * t0,
         mtt_dup=2.0 * t0,
         mtt_delay=2.0 * t0,
@@ -97,26 +111,9 @@ def _fault_model(seed: int, t0: float) -> RandomFaultModel:
         msg_fault_duration=t0 / 8,
         msg_delay=t0 / 50,
         disk_fault_duration=t0 / 10,
+        **device_faults,
     )
-
-
-def _filterscan_fault_model(seed: int, t0: float) -> RandomFaultModel:
-    """Filter-scan chaos: message/disk/degrade faults, no crashes (the scan
-    has no replica recovery — reliability must come from the channel alone)."""
-    return RandomFaultModel(
-        seed=seed,
-        mtt_degrade=3.0 * t0,
-        degrade_factor=0.5,
-        degrade_duration=t0 / 4,
-        mtt_drop=1.5 * t0,
-        mtt_dup=2.0 * t0,
-        mtt_delay=2.0 * t0,
-        mtt_corrupt=2.5 * t0,
-        mtt_disk_fault=2.0 * t0,
-        msg_fault_duration=t0 / 8,
-        msg_delay=t0 / 50,
-        disk_fault_duration=t0 / 10,
-    )
+    return model.plan(chaos_params(), horizon=0.8 * t0)
 
 
 def _amplification(channel_stats: Optional[dict]) -> float:
@@ -276,121 +273,179 @@ class ResilientFilterScan:
         }
 
 
-# ------------------------------------------------------------------- cases
-def _run_dsmsort_case(
-    seed: int, n_records: int, t0: float, amp_bound: float
-) -> dict:
-    """DSM-Sort run formation under seeded message/disk/crash chaos."""
-    from ..dsmsort.runtime import DsmSortJob
+# ---------------------------------------------------- shared scenario pieces
+def chaos_cell(n_records: int) -> tuple[SystemParams, DSMConfig]:
+    """The platform + DSM-Sort config every chaos app and soak sweep runs on."""
+    return chaos_params(), DSMConfig.for_n(n_records, alpha=8, gamma=16)
 
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
-    plan = _fault_model(seed, t0).plan(params, horizon=0.8 * t0)
-    job = DsmSortJob(
-        params, cfg, policy="sr", seed=0, faults=plan,
-        transport="reliable", retry_policy=_policy_for(t0),
-        heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10,
+
+def reliable_job(
+    n_records: int, t0: float, faults: FaultPlan, seed: int = 0,
+    max_attempts: Optional[int] = None, **layers,
+) -> DsmSortJob:
+    """DSM-Sort on the reliable stack, retries and heartbeats scaled to
+    ``t0``; ``layers`` are further :class:`DsmSortJob` keywords on top."""
+    params, cfg = chaos_cell(n_records)
+    return DsmSortJob(
+        params, cfg, policy="sr", seed=seed, faults=faults,
+        transport="reliable", retry_policy=_policy_for(t0, max_attempts),
+        heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10, **layers,
     )
-    res = job.run_pass1(deadline=12.0 * t0)
-    sorted_ok = False
-    if res.completed:
-        job.run_pass2()
-        try:
-            job.verify()  # sorted + exact multiset: no loss, no duplicates
-            sorted_ok = True
-        except Exception:
-            sorted_ok = False
-    amp = _amplification(res.channel_stats)
+
+
+def sort_verified(job: DsmSortJob, deadline: Optional[float] = None):
+    """Pass 1 (under ``deadline``), then pass 2 and ``verify()`` if it completed.
+
+    Returns ``(pass-1 result, two-pass makespan, verified)``; ``verified``
+    means sorted and the exact input multiset — no loss, no duplicates.
+    """
+    res = job.run_pass1(deadline=deadline)
+    if not res.completed:
+        return res, res.makespan, False
+    makespan = res.makespan + job.run_pass2().makespan
+    try:
+        job.verify()
+    except Exception:
+        return res, makespan, False
+    return res, makespan, True
+
+
+def cut_plan(
+    cut_asus: Sequence[int], cut_hosts: Sequence[int], start: float,
+    duration: float, asymmetry: str, kill: bool,
+) -> FaultPlan:
+    """One network cut, optionally with a cut node fail-stopped mid-window.
+
+    The kill is the split-brain acid test: the node dies while partitioned,
+    so "crashed" and "unreachable" are indistinguishable until the heal.
+    """
+    faults = [partition(start, cut_asus, hosts=cut_hosts,
+                        duration=duration, asymmetry=asymmetry)]
+    if kill:
+        t_kill = start + 0.4 * duration
+        faults.append(crash_asu(t_kill, cut_asus[0]) if cut_asus
+                      else crash_host(t_kill, cut_hosts[0]))
+    return FaultPlan(faults)
+
+
+def partition_scenario(n_records: int, t0: float, plan: FaultPlan, seed: int = 0):
+    """The replicated sort (r=2, network-borne detection) under ``plan``.
+
+    The one partition-tolerance scenario: the chaos app feeds it seeded
+    cuts, ``repro partition`` a fixed grid, and an empty plan is that
+    grid's reference.  Returns ``(job, pass-1 result, verified)``.
+    """
+    job = reliable_job(
+        n_records, t0, plan, seed=seed, replication=ReplicationConfig(r=2),
+        detection_mode="network", probe_timeout=t0 / 10,
+    )
+    res, _makespan, verified = sort_verified(job, deadline=20.0 * t0)
+    return job, res, verified
+
+
+def fence_counters(res) -> dict:
+    """Membership / epoch-fencing evidence of one pass-1 result."""
+    return {
+        name: int(getattr(res, name))
+        for name in ("n_epoch_rejections", "n_readmitted", "n_reconciled_runs",
+                     "n_divergent_copies", "n_dup_frags_dropped", "view_epoch")
+    }
+
+
+def _case_record(
+    app: str, seed: int, n_faults: int, fault_kinds: list[str],
+    makespan_ratio: float, invariants: dict, channel_stats: Optional[dict] = None,
+    n_breaker_trips: int = 0, **evidence,
+) -> dict:
+    """One chaos case: the fields every app reports, plus its own evidence."""
+    cs = channel_stats or {}
+    return {
+        "app": app,
+        "seed": seed,
+        "n_faults": n_faults,
+        "fault_kinds": fault_kinds,
+        "makespan_ratio": makespan_ratio,
+        "amplification": _amplification(cs),
+        "n_retransmits": cs.get("n_retransmits", 0),
+        "n_dup_dropped": cs.get("n_dup_dropped", 0),
+        "n_corrupt_dropped": cs.get("n_corrupt_dropped", 0),
+        "n_breaker_trips": n_breaker_trips,
+        **evidence,
+        "invariants": invariants,
+        "ok": all(invariants.values()),
+    }
+
+
+# ------------------------------------------------------------------- cases
+def _chaos_dsmsort(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
+    """DSM-Sort run formation under seeded message/disk/crash chaos."""
+    plan = _fault_plan(
+        seed, t0, mttf_asu=8.0 * t0, mttf_host=16.0 * t0, max_crashes=1
+    )
+    job = reliable_job(n_records, t0, plan)
+    res, _makespan, sorted_ok = sort_verified(job, deadline=12.0 * t0)
     invariants = {
         "completed": bool(res.completed),
-        "sorted_permutation": bool(sorted_ok),
+        "sorted_permutation": sorted_ok,
         "exact_count": bool(res.completed and res.n_durable == n_records),
-        "amplification_bounded": bool(amp <= amp_bound),
+        "amplification_bounded": bool(_amplification(res.channel_stats) <= amp_bound),
     }
-    cs = res.channel_stats or {}
-    return {
-        "app": "dsmsort",
-        "seed": seed,
-        "n_faults": len(plan),
-        "fault_kinds": sorted(plan.kinds()),
-        "makespan_ratio": res.makespan / t0,
-        "amplification": amp,
-        "n_retransmits": cs.get("n_retransmits", 0),
-        "n_dup_dropped": cs.get("n_dup_dropped", 0),
-        "n_corrupt_dropped": cs.get("n_corrupt_dropped", 0),
-        "n_breaker_trips": res.n_breaker_trips,
-        "n_replayed_frags": res.n_replayed_frags,
-        "n_takeover_blocks": res.n_takeover_blocks,
-        "invariants": invariants,
-        "ok": all(invariants.values()),
-    }
+    return _case_record(
+        "dsmsort", seed, len(plan), sorted(plan.kinds()), res.makespan / t0,
+        invariants, res.channel_stats, res.n_breaker_trips,
+        n_replayed_frags=res.n_replayed_frags,
+        n_takeover_blocks=res.n_takeover_blocks,
+    )
 
 
-def _run_filterscan_case(
-    seed: int, n_records: int, t0: float, amp_bound: float
-) -> dict:
+def _chaos_filterscan(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """Active filter-scan on the reliable channel, degrading via breakers."""
-    params = chaos_params()
-    plan = _filterscan_fault_model(seed, t0).plan(params, horizon=0.8 * t0)
+    # no crashes: the scan has no replica recovery, so reliability must come
+    # from the channel alone
+    plan = _fault_plan(
+        seed, t0, mtt_degrade=3.0 * t0, degrade_factor=0.5,
+        degrade_duration=t0 / 4,
+    )
     app = ResilientFilterScan(
-        params, n_records, seed=0, policy=_policy_for(t0), faults=plan
+        chaos_params(), n_records, seed=0, policy=_policy_for(t0), faults=plan
     )
     res = app.run(deadline=12.0 * t0)
-    exact = bool(
-        res["completed"] and np.array_equal(res["keys"], app.expected_keys())
-    )
-    amp = _amplification(res["channel_stats"])
     invariants = {
         "completed": bool(res["completed"]),
-        "exact_multiset": exact,
-        "amplification_bounded": bool(amp <= amp_bound),
+        "exact_multiset": bool(
+            res["completed"] and np.array_equal(res["keys"], app.expected_keys())
+        ),
+        "amplification_bounded": bool(
+            _amplification(res["channel_stats"]) <= amp_bound
+        ),
     }
-    cs = res["channel_stats"]
-    return {
-        "app": "filterscan",
-        "seed": seed,
-        "n_faults": len(plan),
-        "fault_kinds": sorted(plan.kinds()),
-        "makespan_ratio": res["makespan"] / t0,
-        "amplification": amp,
-        "n_retransmits": cs.get("n_retransmits", 0),
-        "n_dup_dropped": cs.get("n_dup_dropped", 0),
-        "n_corrupt_dropped": cs.get("n_corrupt_dropped", 0),
-        "n_breaker_trips": res["n_breaker_trips"],
-        "n_degraded_blocks": res["n_degraded_blocks"],
-        "invariants": invariants,
-        "ok": all(invariants.values()),
-    }
+    return _case_record(
+        "filterscan", seed, len(plan), sorted(plan.kinds()),
+        res["makespan"] / t0, invariants, res["channel_stats"],
+        res["n_breaker_trips"], n_degraded_blocks=res["n_degraded_blocks"],
+    )
 
 
-#: per-n cache of (fault-free two-pass makespan, reference output) for the
-#: recovery app — every seed checks byte-identity against the same reference
-_RECOVERY_REFERENCE: dict[int, tuple[float, np.ndarray]] = {}
+@functools.lru_cache(maxsize=None)
+def _two_pass_reference(n_records: int) -> tuple[float, np.ndarray]:
+    """Fault-free two-pass (makespan, output) on the direct transport.
+
+    Cached per ``n``: it is the recovery and straggler apps' baseline, and
+    every recovery seed checks byte-identity against the same output.
+    """
+    params, cfg = chaos_cell(n_records)
+    job = DsmSortJob(params, cfg, policy="sr", seed=0, faults=FaultPlan())
+    _res, makespan, verified = sort_verified(job)
+    if not verified:
+        raise RuntimeError("fault-free reference sort failed to verify")
+    return makespan, job.collected_output()
 
 
-def _recovery_reference(n_records: int) -> tuple[float, np.ndarray]:
-    from ..dsmsort.runtime import DsmSortJob
-
-    cached = _RECOVERY_REFERENCE.get(n_records)
-    if cached is None:
-        params = chaos_params()
-        cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
-        job = DsmSortJob(params, cfg, policy="sr", seed=0, faults=FaultPlan())
-        r1 = job.run_pass1()
-        r2 = job.run_pass2()
-        job.verify()
-        cached = (r1.makespan + r2.makespan, job.collected_output())
-        _RECOVERY_REFERENCE[n_records] = cached
-    return cached
+def _two_pass_t0(n_records: int) -> float:
+    return _two_pass_reference(n_records)[0]
 
 
-def _recovery_t0(n_records: int) -> float:
-    return _recovery_reference(n_records)[0]
-
-
-def _run_recovery_case(
-    seed: int, n_records: int, t0: float, amp_bound: float
-) -> dict:
+def _chaos_recovery(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """Coordinator kill at a seeded instant, then checkpoint-restart.
 
     The invariant is the tentpole's proof of equivalence: whatever the kill
@@ -398,131 +453,76 @@ def _run_recovery_case(
     *byte-identical* to the uninterrupted reference, with the manifest
     showing zero duplicate fragment coverage.
     """
-    from ..recovery.checkpoint import RecoverableSort
-    from ..recovery.supervisor import RestartBudget
-    from ..util.rng import derive_seed
-
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
-    _t0, reference = _recovery_reference(n_records)
+    params, cfg = chaos_cell(n_records)
+    _t0, reference = _two_pass_reference(n_records)
     rng = np.random.default_rng(derive_seed(seed, "chaos-recovery"))
     crash_at = float(rng.uniform(0.05, 0.95)) * t0
     sort = RecoverableSort(params, cfg, seed=0, policy="sr")
     rep = sort.run_supervised(
         crashes=[crash_at], budget=RestartBudget(max_restarts=3)
     )
-    identical = False
-    dup_frags = -1
+    identical = no_dup = False
     if rep.completed:
         sort.verify()
         identical = bool(np.array_equal(reference, sort.output()))
-        dup_frags = 0
         try:
             sort.manifest.check_no_duplicate_coverage()
-        except Exception:
-            dup_frags = 1
+            no_dup = True
+        except CheckpointError:
+            pass
     invariants = {
         "completed": bool(rep.completed),
         "byte_identical": identical,
-        "no_duplicate_coverage": dup_frags == 0,
+        "no_duplicate_coverage": no_dup,
         "crash_observed": bool(rep.n_crashes >= 1) or crash_at >= t0,
     }
-    return {
-        "app": "recovery",
-        "seed": seed,
-        "n_faults": 1,
-        "fault_kinds": ["crash_coordinator"],
-        "crash_at_frac": crash_at / t0,
-        "makespan_ratio": rep.total_virtual_time / t0,
-        "amplification": 1.0,
-        "n_retransmits": 0,
-        "n_dup_dropped": 0,
-        "n_corrupt_dropped": 0,
-        "n_breaker_trips": 0,
-        "n_attempts": rep.n_attempts,
-        "n_crashes": rep.n_crashes,
-        "invariants": invariants,
-        "ok": all(invariants.values()),
-    }
+    return _case_record(
+        "recovery", seed, 1, ["crash_coordinator"], rep.total_virtual_time / t0,
+        invariants, crash_at_frac=crash_at / t0,
+        n_attempts=rep.n_attempts, n_crashes=rep.n_crashes,
+    )
 
 
-def _straggler_t0(n_records: int) -> float:
-    """Fault-free two-pass baseline (shared with the recovery reference)."""
-    return _recovery_reference(n_records)[0]
-
-
-def _run_straggler_case(
-    seed: int, n_records: int, t0: float, amp_bound: float
-) -> dict:
+def _chaos_straggler(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """A seeded heavy ASU degradation, raced with and without speculation.
 
     Invariants: both runs complete and verify (exactly-once despite hedged
     duplicate replicas), and speculation never makes the degraded schedule
     slower.  The makespan improvement is recorded for the report.
     """
-    from ..dsmsort.runtime import DsmSortJob
-    from ..faults.injector import degrade_asu
-    from ..recovery.speculate import SpeculationPolicy
-    from ..util.rng import derive_seed
-
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
+    params, cfg = chaos_cell(n_records)
     rng = np.random.default_rng(derive_seed(seed, "chaos-straggler"))
     victim = int(rng.integers(0, params.n_asus))
     factor = float(rng.uniform(0.1, 0.3))
     start = float(rng.uniform(0.01, 0.1)) * t0
     plan = FaultPlan([degrade_asu(start, victim, duration=8.0 * t0, factor=factor)])
 
-    base = DsmSortJob(params, cfg, policy="sr", seed=0, faults=plan)
-    b1 = base.run_pass1()
-    b2 = base.run_pass2()
-    base.verify()
-    mk_base = b1.makespan + b2.makespan
-
     policy = SpeculationPolicy(
         interval=t0 / 25, warmup=t0 / 10, max_hedges=params.n_asus, seed=seed
     )
-    spec = DsmSortJob(
-        params, cfg, policy="sr", seed=0, faults=plan, speculation=policy
+    b1, mk_base, base_ok = sort_verified(
+        DsmSortJob(params, cfg, policy="sr", seed=0, faults=plan)
     )
-    s1 = spec.run_pass1()
-    s2 = spec.run_pass2()
-    verified = True
-    try:
-        spec.verify()  # sorted + exact multiset: hedges added no duplicates
-    except Exception:
-        verified = False
-    mk_spec = s1.makespan + s2.makespan
+    s1, mk_spec, spec_ok = sort_verified(
+        DsmSortJob(params, cfg, policy="sr", seed=0, faults=plan, speculation=policy)
+    )
     invariants = {
         "completed": bool(b1.completed and s1.completed),
-        "sorted_permutation": verified,
+        # sorted + exact multiset: hedges added no duplicates
+        "sorted_permutation": base_ok and spec_ok,
         "not_slower": bool(mk_spec <= mk_base * 1.001),
     }
-    return {
-        "app": "straggler",
-        "seed": seed,
-        "n_faults": 1,
-        "fault_kinds": ["degrade_asu"],
-        "victim": victim,
-        "degrade_factor": factor,
-        "makespan_ratio": mk_spec / t0,
-        "makespan_ratio_nospec": mk_base / t0,
-        "speedup": mk_base / mk_spec if mk_spec else 1.0,
-        "amplification": 1.0,
-        "n_retransmits": 0,
-        "n_dup_dropped": 0,
-        "n_corrupt_dropped": 0,
-        "n_breaker_trips": 0,
-        "n_hedged_shards": s1.n_hedged_shards,
-        "n_hedge_wasted_frags": s1.n_hedge_wasted_frags,
-        "invariants": invariants,
-        "ok": all(invariants.values()),
-    }
+    return _case_record(
+        "straggler", seed, 1, ["degrade_asu"], mk_spec / t0, invariants,
+        victim=victim, degrade_factor=factor,
+        makespan_ratio_nospec=mk_base / t0,
+        speedup=mk_base / mk_spec if mk_spec else 1.0,
+        n_hedged_shards=s1.n_hedged_shards,
+        n_hedge_wasted_frags=s1.n_hedge_wasted_frags,
+    )
 
 
-def _run_partition_case(
-    seed: int, n_records: int, t0: float, amp_bound: float
-) -> dict:
+def _chaos_partition(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """Seeded network cut against the membership / epoch-fencing stack.
 
     Each seed draws one partition scenario — minority group (one or two
@@ -535,14 +535,7 @@ def _run_partition_case(
     that silence heartbeats must actually disrupt (expulsion observed), so
     the fencing claims are non-vacuous.
     """
-    from ..dsmsort.runtime import DsmSortJob
-    from ..faults.injector import crash_asu, partition
-    from ..replica import ReplicationConfig
-    from ..util.records import sort_records
-    from ..util.rng import derive_seed
-
     params = chaos_params()
-    cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
     rng = np.random.default_rng(derive_seed(seed, "chaos-partition"))
     n_cut = int(rng.integers(1, 3))
     cut = tuple(sorted(
@@ -552,34 +545,13 @@ def _run_partition_case(
     long_cut = bool(rng.integers(0, 2))
     duration = (0.5 if long_cut else 0.08) * t0
     start = float(rng.uniform(0.15, 0.35)) * t0
-    faults = [partition(start, cut, duration=duration, asymmetry=asymmetry)]
     kill = bool(long_cut and n_cut == 1 and rng.integers(0, 2))
-    if kill:
-        # the split-brain acid test: the node dies while partitioned, so
-        # "crashed" and "unreachable" are indistinguishable until the heal
-        faults.append(crash_asu(start + 0.4 * duration, cut[0]))
-    plan = FaultPlan(faults)
-    job = DsmSortJob(
-        params, cfg, policy="sr", seed=0, faults=plan,
-        transport="reliable", retry_policy=_policy_for(t0),
-        replication=ReplicationConfig(r=2),
-        heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10,
-        detection_mode="network", probe_timeout=t0 / 10,
-    )
-    res = job.run_pass1(deadline=20.0 * t0)
-    sorted_ok = False
+    plan = cut_plan(cut, (), start, duration, asymmetry, kill)
+    job, res, sorted_ok = partition_scenario(n_records, t0, plan)
     identical = False
-    if res.completed:
-        job.run_pass2()
-        try:
-            job.verify()  # sorted + exact multiset: no loss, no duplicates
-            sorted_ok = True
-        except Exception:
-            sorted_ok = False
-        if sorted_ok:
-            ref = sort_records(concat_records(job.asu_data, params.schema))
-            identical = bool(np.array_equal(job.collected_output(), ref))
-    amp = _amplification(res.channel_stats)
+    if sorted_ok:
+        ref = sort_records(concat_records(job.asu_data, params.schema))
+        identical = bool(np.array_equal(job.collected_output(), ref))
     # "in" cuts never silence the minority's outbound heartbeats, so the
     # detector must stay quiet; "both"/"out" cuts longer than the detection
     # horizon must expel — and re-admit once heartbeats resume (unless the
@@ -587,43 +559,26 @@ def _run_partition_case(
     disruptive = long_cut and asymmetry in ("both", "out")
     invariants = {
         "completed": bool(res.completed),
-        "sorted_permutation": bool(sorted_ok),
+        "sorted_permutation": sorted_ok,
         "byte_identical_no_split_brain": identical,
         # a cut legitimately amplifies: every pending into the severed route
         # retransmits (bounded by backoff) for the whole window, so the
         # partition app earns twice the flood allowance of the other apps
-        "amplification_bounded": bool(amp <= 2.0 * amp_bound),
+        "amplification_bounded": bool(
+            _amplification(res.channel_stats) <= 2.0 * amp_bound
+        ),
         "disruption_observed": bool(
             not disruptive
             or res.n_readmitted >= 1
             or (kill and res.view_epoch >= 2)
         ),
     }
-    cs = res.channel_stats or {}
-    return {
-        "app": "partition",
-        "seed": seed,
-        "n_faults": len(plan),
-        "fault_kinds": sorted(plan.kinds()),
-        "cut_asus": list(cut),
-        "asymmetry": asymmetry,
-        "duration_frac": duration / t0,
-        "killed_in_cut": kill,
-        "makespan_ratio": res.makespan / t0,
-        "amplification": amp,
-        "n_retransmits": cs.get("n_retransmits", 0),
-        "n_dup_dropped": cs.get("n_dup_dropped", 0),
-        "n_corrupt_dropped": cs.get("n_corrupt_dropped", 0),
-        "n_breaker_trips": res.n_breaker_trips,
-        "n_epoch_rejections": int(res.n_epoch_rejections),
-        "n_readmitted": int(res.n_readmitted),
-        "n_reconciled_runs": int(res.n_reconciled_runs),
-        "n_divergent_copies": int(res.n_divergent_copies),
-        "n_dup_frags_dropped": int(res.n_dup_frags_dropped),
-        "view_epoch": int(res.view_epoch),
-        "invariants": invariants,
-        "ok": all(invariants.values()),
-    }
+    return _case_record(
+        "partition", seed, len(plan), sorted(plan.kinds()), res.makespan / t0,
+        invariants, res.channel_stats, res.n_breaker_trips,
+        cut_asus=list(cut), asymmetry=asymmetry, duration_frac=duration / t0,
+        killed_in_cut=kill, **fence_counters(res),
+    )
 
 
 #: fixed arrival-stream length for the scheduler chaos app: long enough to
@@ -642,26 +597,12 @@ def _scheduler_t0(n_records: int) -> float:
     the makespan ratio is normalised against the work-conserving lower bound
     instead.
     """
-    from ..sched import ServiceOracle, default_mix, estimate_capacity, serve_params
-
     capacity = estimate_capacity(serve_params(), default_mix(), ServiceOracle())
     return _SCHED_CHAOS_JOBS / capacity
 
 
 def _scheduler_once(seed: int, rate: float) -> tuple:
     """One overloaded priority-preemption scheduler run; returns evidence."""
-    from ..recovery.supervisor import RestartBudget
-    from ..sched import (
-        JobState,
-        OpenLoopWorkload,
-        Scheduler,
-        ServiceOracle,
-        default_mix,
-        default_tenants,
-        serve_params,
-        summarize_outcome,
-    )
-
     arrivals = OpenLoopWorkload(
         rate, default_mix(), _SCHED_CHAOS_JOBS, seed=seed
     ).generate()
@@ -676,12 +617,10 @@ def _scheduler_once(seed: int, rate: float) -> tuple:
     )
     outcome = sched.run(arrivals)
     cell = summarize_outcome(outcome, sched.tenants, rate)
-    return sched, outcome, cell, JobState
+    return sched, outcome, cell
 
 
-def _run_scheduler_case(
-    seed: int, n_records: int, t0: float, amp_bound: float
-) -> dict:
+def _chaos_scheduler(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """Multi-tenant scheduler at 3x overload: preemption + restart budget.
 
     The chaos here is *contention*, not injected faults: a seeded Poisson
@@ -692,19 +631,14 @@ def _run_scheduler_case(
     counters agree exactly with the outcome, and a second run of the same
     seed reproduces the summary cell byte-for-byte.
     """
-    import json as _json
-
     rate = _SCHED_CHAOS_OVERLOAD * (_SCHED_CHAOS_JOBS / t0)
-    sched, outcome, cell, JobState = _scheduler_once(seed, rate)
+    sched, outcome, cell = _scheduler_once(seed, rate)
     jobs = outcome.jobs
     n_done = sum(1 for j in jobs if j.state == JobState.DONE)
     n_failed = sum(1 for j in jobs if j.state == JobState.FAILED)
     n_rejected = sum(1 for j in jobs if j.state == JobState.REJECTED)
     reg = sched.registry
-
-    _s2, _o2, cell2, _ = _scheduler_once(seed, rate)
-    canon = _json.dumps(cell, sort_keys=True, separators=(",", ":"))
-    canon2 = _json.dumps(cell2, sort_keys=True, separators=(",", ":"))
+    cell2 = _scheduler_once(seed, rate)[2]
 
     invariants = {
         "all_terminal": all(j.state in JobState.TERMINAL for j in jobs),
@@ -725,28 +659,15 @@ def _run_scheduler_case(
         "overload_exercised": bool(
             outcome.n_preempted + outcome.n_rejected + outcome.n_restarted > 0
         ),
-        "deterministic_replay": canon == canon2,
+        "deterministic_replay": canonical_json(cell) == canonical_json(cell2),
     }
-    return {
-        "app": "scheduler",
-        "seed": seed,
-        "n_faults": int(outcome.n_preempted + outcome.n_failed),
-        "fault_kinds": ["overload", "preempt", "restart_budget"],
-        "makespan_ratio": outcome.makespan / t0,
-        "amplification": 1.0,
-        "n_retransmits": 0,
-        "n_dup_dropped": 0,
-        "n_corrupt_dropped": 0,
-        "n_breaker_trips": 0,
-        "n_jobs": len(jobs),
-        "n_done": n_done,
-        "n_rejected": int(outcome.n_rejected),
-        "n_preempted": int(outcome.n_preempted),
-        "n_restarted": int(outcome.n_restarted),
-        "n_failed": n_failed,
-        "invariants": invariants,
-        "ok": all(invariants.values()),
-    }
+    return _case_record(
+        "scheduler", seed, int(outcome.n_preempted + outcome.n_failed),
+        ["overload", "preempt", "restart_budget"], outcome.makespan / t0,
+        invariants, n_jobs=len(jobs), n_done=n_done,
+        n_rejected=int(outcome.n_rejected), n_preempted=int(outcome.n_preempted),
+        n_restarted=int(outcome.n_restarted), n_failed=n_failed,
+    )
 
 
 def _run_negative_control(n_records: int, t0: float) -> dict:
@@ -758,22 +679,15 @@ def _run_negative_control(n_records: int, t0: float) -> dict:
     pass cannot complete (the deadline converts the stall into a partial
     result).
     """
-    from ..dsmsort.runtime import DsmSortJob
-
     params = chaos_params()
-    cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
     plan = FaultPlan([
         drop_msg(0.3 * t0, h, d, 0.15 * t0)
         for h in range(params.n_hosts)
         for d in range(params.n_asus)
     ])
-    job = DsmSortJob(
-        params, cfg, policy="sr", seed=0, faults=plan,
-        transport="reliable",
-        retry_policy=_policy_for(t0, max_attempts=1),
-        heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10,
+    res = reliable_job(n_records, t0, plan, max_attempts=1).run_pass1(
+        deadline=4.0 * t0
     )
-    res = job.run_pass1(deadline=4.0 * t0)
     lost = n_records - max(res.n_durable, 0)
     return {
         "completed": bool(res.completed),
@@ -833,12 +747,10 @@ class ChaosReport:
 
     def to_json(self) -> str:
         """Canonical JSON: two identical sweeps are byte-identical."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_canonical_json(path, self.as_dict())
 
     def render(self) -> str:
         rows = []
@@ -873,22 +785,15 @@ class ChaosReport:
 
 
 # ------------------------------------------------------------------- sweep
-def _dsmsort_t0(n_records: int) -> float:
+def dsmsort_t0(n_records: int) -> float:
     """Fault-free reliable-transport baseline makespan for DSM-Sort."""
-    from ..dsmsort.runtime import DsmSortJob
-
-    params = chaos_params()
-    cfg = DSMConfig.for_n(n_records, alpha=8, gamma=16)
+    params, cfg = chaos_cell(n_records)
     # Provisional direct-transport run sizes the retry policy; the real
     # baseline then runs the same reliable stack the chaos cases use.
     provisional = DsmSortJob(
         params, cfg, policy="sr", seed=0, faults=FaultPlan()
     ).run_pass1().makespan
-    job = DsmSortJob(
-        params, cfg, policy="sr", seed=0, faults=FaultPlan(),
-        transport="reliable", retry_policy=_policy_for(provisional),
-    )
-    return job.run_pass1().makespan
+    return reliable_job(n_records, provisional, FaultPlan()).run_pass1().makespan
 
 
 def _filterscan_t0(n_records: int) -> float:
@@ -901,41 +806,44 @@ def _filterscan_t0(n_records: int) -> float:
     return app.run()["makespan"]
 
 
-_CASE_RUNNERS: dict[str, Callable[..., dict]] = {
-    "dsmsort": _run_dsmsort_case,
-    "filterscan": _run_filterscan_case,
-    "recovery": _run_recovery_case,
-    "straggler": _run_straggler_case,
-    "scheduler": _run_scheduler_case,
-    "partition": _run_partition_case,
-}
+@dataclass(frozen=True)
+class ChaosApp:
+    """One chaos app: ``baseline(n_records)`` gives its fault-free T0;
+    ``case(seed, n_records, t0, amp_bound)`` returns a :func:`_case_record`
+    (the first line of its docstring is the ``--list-apps`` summary)."""
 
-_BASELINES: dict[str, Callable[[int], float]] = {
-    "dsmsort": _dsmsort_t0,
-    "filterscan": _filterscan_t0,
-    "recovery": _recovery_t0,
-    "straggler": _straggler_t0,
-    "scheduler": _scheduler_t0,
-    # the partition app runs the same reliable-transport sort, so it shares
-    # the dsmsort fault-free baseline
-    "partition": _dsmsort_t0,
+    name: str
+    baseline: Callable[[int], float]
+    case: Callable[[int, int, float, float], dict]
+
+
+_APPS = {
+    app.name: app
+    for app in (
+        ChaosApp("dsmsort", dsmsort_t0, _chaos_dsmsort),
+        ChaosApp("filterscan", _filterscan_t0, _chaos_filterscan),
+        ChaosApp("recovery", _two_pass_t0, _chaos_recovery),
+        ChaosApp("straggler", _two_pass_t0, _chaos_straggler),
+        ChaosApp("scheduler", _scheduler_t0, _chaos_scheduler),
+        # the partition app runs the same reliable-transport sort, so it
+        # shares the dsmsort fault-free baseline
+        ChaosApp("partition", dsmsort_t0, _chaos_partition),
+    )
 }
 
 
 def list_chaos_apps() -> list[tuple[str, str]]:
     """Registered chaos apps with one-line summaries (for ``--list-apps``)."""
-    out = []
-    for name in sorted(_CASE_RUNNERS):
-        doc = _CASE_RUNNERS[name].__doc__ or ""
-        first = doc.strip().splitlines()[0].strip() if doc.strip() else ""
-        out.append((name, first))
-    return out
+    return [
+        (name, _APPS[name].case.__doc__.strip().splitlines()[0].strip())
+        for name in sorted(_APPS)
+    ]
 
 
 def _chaos_case(task: tuple) -> dict:
     """One (app, seed) chaos case — module-level so it pickles to workers."""
     app, seed, n_records, baseline, amp_bound = task
-    return _CASE_RUNNERS[app](seed, n_records, baseline, amp_bound)
+    return _APPS[app].case(seed, n_records, baseline, amp_bound)
 
 
 def run_chaos(
@@ -963,15 +871,14 @@ def run_chaos(
         list(range(seed0, seed0 + seeds)) if isinstance(seeds, int) else list(seeds)
     )
     for app in apps:
-        if app not in _CASE_RUNNERS:
+        if app not in _APPS:
             raise ValueError(
-                f"unknown chaos app {app!r}; expected one of "
-                f"{sorted(_CASE_RUNNERS)}"
+                f"unknown chaos app {app!r}; expected one of {sorted(_APPS)}"
             )
     say = progress if progress is not None else (lambda _msg: None)
     baselines = {}
     for app in apps:
-        baselines[app] = _BASELINES[app](n_records)
+        baselines[app] = _APPS[app].baseline(n_records)
         say(f"baseline {app}: T0={baselines[app]:.4f}s")
     report = ChaosReport(
         n_records=int(n_records),
@@ -980,18 +887,15 @@ def run_chaos(
         seeds=seed_list,
         baselines=baselines,
     )
-    from ..bench.parallel import parallel_map
-
     tasks = [
         (app, seed, n_records, baselines[app], amp_bound)
         for seed in seed_list
         for app in apps
     ]
-    for task, case in zip(tasks, parallel_map(_chaos_case, tasks, workers=workers)):
-        app, seed = task[0], task[1]
+    for case in parallel_map(_chaos_case, tasks, workers=workers):
         report.cases.append(case)
         say(
-            f"{app} seed={seed}: {case['n_faults']} faults, "
+            f"{case['app']} seed={case['seed']}: {case['n_faults']} faults, "
             f"T/T0={case['makespan_ratio']:.2f}, "
             f"{'ok' if case['ok'] else 'VIOLATION'}"
         )

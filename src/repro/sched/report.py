@@ -23,13 +23,12 @@ Everything derives from the virtual clock and the seeded workload, so
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ..bench.report import SCHEMA_VERSION
+from ..bench.report import SCHEMA_VERSION, canonical_json, render_table, write_canonical_json
 from .job import Job, JobState, Tenant
 
 __all__ = ["ServeReport", "jain_index", "summarize_outcome"]
@@ -131,14 +130,10 @@ class ServeReport:
 
     def to_json(self) -> str:
         """Canonical JSON: two identical sweeps are byte-identical."""
-        return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return canonical_json(self.as_dict())
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_canonical_json(path, self.as_dict())
 
     def cell(self, policy: str, rate: float) -> dict:
         for c in self.cells:
@@ -147,8 +142,6 @@ class ServeReport:
         raise KeyError(f"no cell for policy={policy!r} rate={rate}")
 
     def render(self) -> str:
-        from ..bench.report import render_table
-
         rows = []
         for c in self.cells:
             slo = "-" if c["slo_attainment"] is None else f"{c['slo_attainment']:.2f}"

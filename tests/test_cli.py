@@ -104,6 +104,18 @@ class TestRecoverCli:
         assert all(c["byte_identical"] for c in doc["cases"])
         assert all(c["n_attempts"] == 2 for c in doc["cases"])
 
+    def test_partition_sweep_honours_seed(self, capsys, tmp_path):
+        # The reference and every case must sort the same --seed; when the
+        # cases hard-coded seed 0, any other seed failed all 36 cuts.
+        import json
+
+        out = tmp_path / "partition.json"
+        assert main(["partition", "--n", "12", "--seed", "1", "--out", str(out)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["seed"] == 1 and doc["fencing_exercised"] is True
+        assert len(doc["cases"]) == 36 and all(c["ok"] for c in doc["cases"])
+
 
 class TestChaosCli:
     def test_list_apps_names_every_registered_app(self, capsys):

@@ -333,9 +333,9 @@ class TestSchedulerChaosApp:
         # is opt-in (python -m repro chaos --apps scheduler).
         import inspect
 
-        from repro.resilience.chaos import _CASE_RUNNERS, run_chaos
+        from repro.resilience.chaos import list_chaos_apps, run_chaos
 
-        assert "scheduler" in _CASE_RUNNERS
+        assert "scheduler" in dict(list_chaos_apps())
         sig = inspect.signature(run_chaos)
         assert sig.parameters["apps"].default == ("dsmsort", "filterscan")
 
