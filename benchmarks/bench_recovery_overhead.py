@@ -21,7 +21,6 @@ from repro.bench.report import render_table, write_bench_json
 from repro.core import DSMConfig
 from repro.dsmsort import DsmSortJob
 from repro.emulator.params import SystemParams
-from repro.faults import FaultPlan
 from repro.recovery import RunManifest
 
 OVERHEAD_BOUND = 0.02
@@ -45,10 +44,8 @@ def run_overhead(n_records: int, seed: int = 3):
     cfg = DSMConfig.for_n(n_records, alpha=16, gamma=16)
 
     def sort_once(manifest):
-        faults = FaultPlan() if manifest is not None else None
         job = DsmSortJob(
-            params, cfg, policy="sr", active=True, seed=seed,
-            faults=faults, manifest=manifest,
+            params, cfg, policy="sr", active=True, seed=seed, manifest=manifest,
         )
         r1 = job.run_pass1()
         r2 = job.run_pass2()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -35,10 +36,11 @@ import numpy as np
 from ..core.config import DSMConfig
 from ..core.costs import RecordCosts
 from ..core.load_manager import LoadManager
+from ..emulator.net import Message
 from ..emulator.params import SystemParams
 from ..emulator.platform import ActivePlatform
 from ..faults.detector import FailureDetector
-from ..faults.errors import StaleEpochError, UnrecoverableJobError
+from ..faults.errors import UnrecoverableJobError
 from ..faults.injector import MESSAGE_FAULT_KINDS, FaultPlan, Injector
 from ..faults.report import FaultReport
 from ..functors.blocksort import BlockSortFunctor
@@ -47,14 +49,18 @@ from ..functors.merge import MergeFunctor, merge_sorted_batches
 from ..resilience.breaker import BreakerBoard
 from ..resilience.channel import REL, ReliableEndpoint, RetryPolicy
 from ..resilience.io import read_resilient
+from ..sim import Event, Store
 from ..util.distributions import make_workload
 from ..util.records import concat_records, sort_records
 from ..util.rng import RngRegistry
 from ..util.validation import check_sorted_permutation
+from .durability import StripedRuns
 
-__all__ = ["DsmSortJob", "Pass1Result", "Pass2Result"]
+__all__ = ["DsmSortJob", "MODE_RULES", "Pass1Result", "Pass2Result"]
 
 _EOF = "__eof__"
+#: reliable-transport circuit breakers cool down for this many retry timeouts
+_BREAKER_COOLDOWN_TIMEOUTS = 8
 
 
 class _FragEntry:
@@ -75,21 +81,6 @@ class _FragEntry:
         self.bucket = bucket
         self.piece = piece
         self.done = False
-
-
-class _RunEntry:
-    """Host-side lineage for one emitted run: the sorted payload plus its
-    current destination ASU, so the run can be re-replicated if that ASU
-    dies before (or after) the write became durable."""
-
-    __slots__ = ("bucket", "run", "dest", "rid")
-
-    def __init__(self, bucket, run, dest, rid=None):
-        self.bucket = bucket
-        self.run = run
-        self.dest = dest
-        #: manifest run id (checkpointed runs only)
-        self.rid = rid
 
 
 @dataclass
@@ -162,6 +153,54 @@ class Pass2Result:
     n_restored_buckets: int = 0
 
 
+_LOSSY_KINDS = frozenset({*MESSAGE_FAULT_KINDS, "disk_fault", "partition"})
+
+#: The legal/illegal mode matrix (transport x detection x replication x
+#: speculation x manifest, plus what the fault plan injects) as ordered
+#: ``(name, rejects, message)`` rules: ``rejects(m)`` returns a truthy
+#: ``hit`` when the mode namespace ``m`` is illegal, and ``message`` is
+#: formatted with both.  The table is the constructor's validator *and* the
+#: input of the parametrised cross-product test: a combination no rule
+#: rejects must sort and verify.
+MODE_RULES = (
+    ("duty-range", lambda m: not 0.0 <= m.background_asu_duty < 1.0,
+     "background_asu_duty must be in [0, 1)"),
+    ("ft-needs-active", lambda m: m.faults is not None and not m.active,
+     "fault-tolerant mode needs active storage (recovery relies on "
+     "ASU-side shard mirroring and takeover producers)"),
+    ("transport-name", lambda m: m.transport not in ("direct", "reliable"),
+     "transport must be 'direct' or 'reliable', got {m.transport!r}"),
+    ("lossy-needs-reliable",
+     lambda m: m.faults is not None and m.transport == "direct"
+     and sorted(m.faults.kinds() & _LOSSY_KINDS),
+     "fault plan injects {hit} but transport='direct' cannot mask message "
+     "loss or transient I/O errors; use transport='reliable'"),
+    ("detection-name", lambda m: m.detection_mode not in ("timer", "network"),
+     "detection_mode must be 'timer' or 'network', got {m.detection_mode!r}"),
+    ("network-excludes-speculation",
+     lambda m: m.detection_mode == "network" and m.speculation is not None,
+     "speculation= is incompatible with detection_mode='network': hedged "
+     "shard ownership would race the epoch-fenced takeover"),
+    ("r-exceeds-fleet",
+     lambda m: m.replication is not None and m.replication.r > m.params.n_asus,
+     "replication factor {m.replication.r} exceeds the fleet size "
+     "({m.params.n_asus} ASUs)"),
+    ("lose_replica-needs-replication",
+     lambda m: m.faults is not None and m.replication is None
+     and "lose_replica" in m.faults.kinds(),
+     "fault plan injects lose_replica but the job has no replication "
+     "layer to absorb media loss; pass replication="),
+)
+
+
+def check_modes(m) -> None:
+    """Raise ``ValueError`` for the first :data:`MODE_RULES` entry ``m`` hits."""
+    for _name, rejects, message in MODE_RULES:
+        hit = rejects(m)
+        if hit:
+            raise ValueError(message.format(m=m, hit=hit))
+
+
 class DsmSortJob:
     """One emulated DSM-Sort execution on a given platform configuration."""
 
@@ -173,7 +212,6 @@ class DsmSortJob:
         workload: str = "uniform",
         active: bool = True,
         seed: int = 0,
-        workload_kwargs: Optional[dict] = None,
         background_asu_duty: float = 0.0,
         asu_data: Optional[list[np.ndarray]] = None,
         faults: Optional[FaultPlan] = None,
@@ -184,9 +222,6 @@ class DsmSortJob:
         scrape_interval=None,
         transport: str = "direct",
         retry_policy: Optional[RetryPolicy] = None,
-        mailbox_capacity: Optional[int] = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown: Optional[float] = None,
         manifest=None,
         routing_seed: Optional[int] = None,
         speculation=None,
@@ -196,74 +231,19 @@ class DsmSortJob:
         detection_mode: str = "timer",
         probe_timeout: Optional[float] = None,
     ):
-        if not 0.0 <= background_asu_duty < 1.0:
-            raise ValueError("background_asu_duty must be in [0, 1)")
-        if faults is not None and not active:
-            raise ValueError(
-                "fault-tolerant mode needs active storage (recovery relies on "
-                "ASU-side shard mirroring and takeover producers)"
-            )
-        if transport not in ("direct", "reliable"):
-            raise ValueError(
-                f"transport must be 'direct' or 'reliable', got {transport!r}"
-            )
-        if transport == "reliable" and faults is None:
-            raise ValueError(
-                "transport='reliable' runs on the fault-tolerant path; pass a "
-                "FaultPlan (an empty one is fine)"
-            )
-        if faults is not None and transport == "direct":
-            lossy = faults.kinds() & {*MESSAGE_FAULT_KINDS, "disk_fault", "partition"}
-            if lossy:
-                raise ValueError(
-                    f"fault plan injects {sorted(lossy)} but transport='direct' "
-                    "cannot mask message loss or transient I/O errors; use "
-                    "transport='reliable'"
-                )
-        if detection_mode not in ("timer", "network"):
-            raise ValueError(
-                f"detection_mode must be 'timer' or 'network', got "
-                f"{detection_mode!r}"
-            )
-        if detection_mode == "network" and faults is None:
-            raise ValueError(
-                "detection_mode='network' runs on the fault-tolerant path; "
-                "pass a FaultPlan (an empty one is fine)"
-            )
-        if detection_mode == "network" and speculation is not None:
-            raise ValueError(
-                "speculation= is incompatible with detection_mode='network': "
-                "hedged shard ownership would race the epoch-fenced takeover"
-            )
-        if manifest is not None and faults is None:
-            raise ValueError(
-                "manifest= runs on the fault-tolerant path; pass a FaultPlan "
-                "(an empty one is fine)"
-            )
-        if speculation is not None and faults is None:
-            raise ValueError(
-                "speculation= runs on the fault-tolerant path; pass a "
-                "FaultPlan (an empty one is fine)"
-            )
-        if replication is not None and faults is None:
-            raise ValueError(
-                "replication= runs on the fault-tolerant path; pass a "
-                "FaultPlan (an empty one is fine)"
-            )
-        if replication is not None and replication.r > params.n_asus:
-            raise ValueError(
-                f"replication factor {replication.r} exceeds the fleet size "
-                f"({params.n_asus} ASUs)"
-            )
-        if (
-            faults is not None
-            and "lose_replica" in faults.kinds()
-            and replication is None
+        if faults is None and (
+            transport == "reliable" or detection_mode == "network"
+            or manifest is not None or speculation is not None
+            or replication is not None
         ):
-            raise ValueError(
-                "fault plan injects lose_replica but the job has no "
-                "replication layer to absorb media loss; pass replication="
-            )
+            # These layers run on the fault-tolerant engine; asking for one
+            # without a plan means the empty plan.
+            faults = FaultPlan()
+        check_modes(SimpleNamespace(
+            params=params, active=active, faults=faults, transport=transport,
+            detection_mode=detection_mode, speculation=speculation,
+            replication=replication, background_asu_duty=background_asu_duty,
+        ))
         if speculation is not None and metrics is None:
             # The speculator reads per-replica progress rates from the
             # metrics registry, so a speculative run is always metered.
@@ -283,7 +263,6 @@ class DsmSortJob:
         #: repro.replica.ReplicationConfig enabling r-way run replication
         #: during fault-tolerant run formation; None = single-copy runs
         self.replication = replication
-        self._replica_mgr = None
         #: routing RNG seed override: lets a supervisor *re-place* work
         #: (fresh routing decisions) without changing the workload seed
         self._routing_seed = int(routing_seed) if routing_seed is not None else int(seed)
@@ -333,16 +312,7 @@ class DsmSortJob:
         #: ``scrape_interval`` attaches a zero-perturbation collector.
         self.metrics = metrics
         self.scrape_interval = scrape_interval
-        self.load_manager = LoadManager(
-            params,
-            n_instances=params.n_hosts,
-            n_buckets=config.alpha,
-            policy=policy,
-            rng=RngRegistry(self._routing_seed).get("routing"),
-            weights=self._host_weights,
-            registry=metrics,
-            job_id=job_id,
-        )
+        self.load_manager = self._new_load_manager()
         # Input: either supplied by the caller (pre-distributed application
         # data, e.g. TerraFlow cell records keyed by elevation) or generated
         # — n_records split evenly across the D ASUs, each ASU's share drawn
@@ -363,11 +333,10 @@ class DsmSortJob:
             self.asu_data = list(asu_data)
         else:
             per_asu = config.n_records // params.n_asus
-            kw = workload_kwargs or {}
             self.asu_data = [
                 make_workload(
                     self.rngs.get(f"workload.{d}"), per_asu, workload,
-                    params.schema, **kw
+                    params.schema,
                 )
                 for d in range(params.n_asus)
             ]
@@ -395,9 +364,6 @@ class DsmSortJob:
         #: are masked by retransmission, dedup, and resilient reads.
         self.transport = transport
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.mailbox_capacity = mailbox_capacity
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = breaker_cooldown
         #: per-node reliable endpoints (reliable transport only; keyed node_id)
         self._endpoints: Optional[dict[str, ReliableEndpoint]] = None
         self.breaker_board: Optional[BreakerBoard] = None
@@ -405,6 +371,18 @@ class DsmSortJob:
         #: are placed after pass 1 on one stitched timeline via tracer.offset
         self.tracer = tracer
         self._pass1_makespan = 0.0
+
+    def _new_load_manager(self) -> LoadManager:
+        return LoadManager(
+            self.params,
+            n_instances=self.params.n_hosts,
+            n_buckets=self.config.alpha,
+            policy=self.policy,
+            rng=RngRegistry(self._routing_seed).get("routing"),
+            weights=self._host_weights,
+            registry=self.metrics,
+            job_id=self.job_id,
+        )
 
     # ------------------------------------------------------------------ pass 1
     def run_pass1(self, util_dt: float = 0.1, deadline: Optional[float] = None) -> Pass1Result:
@@ -421,18 +399,9 @@ class DsmSortJob:
         # Re-runnable: clear per-run state (runs, router counters, RNG).
         self.runs_on_asu = [[] for _ in range(self.params.n_asus)]
         self._pass1_done = False
-        self._replica_mgr = None
+        self._runs = StripedRuns(self)
         self.view = None
-        self.load_manager = LoadManager(
-            self.params,
-            n_instances=self.params.n_hosts,
-            n_buckets=self.config.alpha,
-            policy=self.policy,
-            rng=RngRegistry(self._routing_seed).get("routing"),
-            weights=self._host_weights,
-            registry=self.metrics,
-            job_id=self.job_id,
-        )
+        self.load_manager = self._new_load_manager()
         plat_params = self.params
         if self.background_asu_duty > 0.0:
             # Strict-priority competitor: ASUs deliver (1 - duty) capacity.
@@ -484,28 +453,38 @@ class DsmSortJob:
         if pendings:
             raise RuntimeError(f"pass 1 deadlocked; {len(pendings)} processes stuck")
         makespan = plat.sim.now
-        self._pass1_done = True
-        self._pass1_makespan = makespan
-        if self.tracer is not None:
-            # Job-phase aggregate span: excluded from causal-graph node sets
-            # (cat="phase") but anchors the sid/parent chain for pass 2.
-            self.tracer.span(0.0, makespan, "job", "pass1",
-                             cat="phase", sid="pass1")
+        self._finish_pass1(makespan, completed=True)
+        return self._pass1_result(plat, makespan, util_dt)
+
+    def _finish_pass1(self, makespan: float, completed: bool) -> None:
+        if completed:
+            self._pass1_done = True
+            self._pass1_makespan = makespan
+            if self.tracer is not None:
+                # Job-phase aggregate span: excluded from causal-graph node
+                # sets (cat="phase") but anchors the sid/parent chain for
+                # pass 2.
+                self.tracer.span(0.0, makespan, "job", "pass1",
+                                 cat="phase", sid="pass1")
+            if self.manifest is not None:
+                self.manifest.log_pass1_done(makespan)
         if self.metrics is not None and self.metrics.collector is not None:
             self.metrics.collector.finalize(makespan)
-        n_runs = sum(len(r) for r in self.runs_on_asu)
+
+    def _pass1_result(self, plat, makespan: float, util_dt: float, **ft) -> Pass1Result:
         return Pass1Result(
             makespan=makespan,
             host_util=[h.cpu.utilization(makespan) for h in plat.hosts],
             asu_cpu_util=[a.cpu.utilization(makespan) for a in plat.asus],
             asu_disk_util=[a.disk.utilization(makespan) for a in plat.asus],
-            n_runs=n_runs,
+            n_runs=sum(len(r) for r in self.runs_on_asu),
             net_bytes=plat.network.bytes_total,
             imbalance=self.load_manager.imbalance(),
             host_util_series=[
                 h.cpu.busy.utilization_series(makespan, dt=util_dt)
                 for h in plat.hosts
             ],
+            **ft,
         )
 
     def _trace_records(self, sim, track: str, n: int, dt: Optional[float] = None) -> None:
@@ -708,9 +687,11 @@ class DsmSortJob:
           dead host's fragments are replayed to survivors and *all* of its
           runs are discarded, wherever they landed — the frag is the unit of
           replay, so no record is ever counted twice;
-        * hosts keep a run lineage (:class:`_RunEntry`); runs stranded on a
-          dead ASU are re-replicated to alive ones via the host's own mailbox
-          (which serialises recovery behind in-flight emits);
+        * where a sorted run lives, and what happens when its ASU dies, is
+          the job's :class:`~repro.dsmsort.durability.RunDurability`: striped
+          single copies re-emitted from the host's run lineage, or r-way
+          replica sets promoted in place (re-emit requests ride the host's
+          own mailbox, which serialises recovery behind in-flight emits);
         * completion is a durable-record count: pass 1 ends when every input
           record is in exactly one durable run on an alive ASU.
 
@@ -718,9 +699,6 @@ class DsmSortJob:
         they describe, so a fail-stop (which can only land at a yield) can
         never half-record a transition.
         """
-        from ..emulator.net import Message
-        from ..sim import Event
-
         D, H = self.params.n_asus, self.params.n_hosts
         blk = self.params.block_records
         rs = self.params.schema.record_size
@@ -730,17 +708,13 @@ class DsmSortJob:
         self._ft_total = sum(a.shape[0] for a in self.asu_data)
         self._ft_durable = 0
         self._frag_log: dict[int, list[_FragEntry]] = defaultdict(list)
-        self._run_log: list[list[_RunEntry]] = [[] for _ in range(H)]
-        self._run_hosts: list[list[int]] = [[] for _ in range(D)]
         self._shipped: set[tuple[int, int, int]] = set()
         self._blocks_complete: set[tuple[int, int]] = set()
         self._eof_posted: set[int] = set()
         self._shard_owner: dict[int, int] = {d: d for d in range(D)}
         self._dead_asus: set[int] = set()
         self._dead_hosts: set[int] = set()
-        self._stripe_next: list[int] = list(range(H))
         self._n_replayed_frags = 0
-        self._n_reemitted_runs = 0
         self._n_takeover_blocks = 0
         self._n_hedged_shards = 0
         self._n_hedge_wasted_frags = 0
@@ -752,11 +726,7 @@ class DsmSortJob:
         #: mode only — the fail-stop model needs no cross-host dedup because
         #: a crashed producer can never re-ship what a takeover re-ships)
         self._frags_accepted: dict[tuple, "_FragEntry"] = {}
-        #: per-ASU (key, digest) snapshots taken at expulsion, offered back
-        #: through ReplicationManager.readopt_copy on re-admission
-        self._readmit_stash: dict[int, list] = {}
         self._n_readmitted = 0
-        self._n_reconciled_runs = 0
         self._n_dup_frags_dropped = 0
         #: per-fragment content digests (speculation mode): lets a hedged
         #: re-distribute verify it reproduced already-shipped fragments
@@ -765,18 +735,24 @@ class DsmSortJob:
         self.recovered_at: dict[str, float] = {}
         self._complete_ev = Event(plat.sim)
         self._ft_plat = plat
-        self._Message = Message
+
+        if self.detection_mode == "network":
+            # Membership view: epochs fence replica writes and manifest
+            # appends, so an expelled-but-alive node's in-flight mutations
+            # are rejected (typed) instead of silently racing the takeover.
+            from ..membership import ViewService
+
+            self.view = ViewService(
+                [f"asu{d}" for d in range(D)] + [f"host{h}" for h in range(H)],
+                metrics=self.metrics,
+            )
+            if self.manifest is not None:
+                self.manifest.attach_view(self.view)
 
         if self.replication is not None:
-            from ..replica.manager import ReplicationManager
+            from ..replica.durability import ReplicatedRuns
 
-            self._replica_mgr = ReplicationManager(
-                self.replication, D,
-                registry=self.metrics,
-                manifest=self.manifest,
-                tracer=self.tracer,
-                job_labels=self._job_labels,
-            )
+            self._runs = ReplicatedRuns(self, self.replication)
 
         if self.manifest is not None:
             # Checkpoint/restart: bind the journal's charged writer to this
@@ -791,31 +767,14 @@ class DsmSortJob:
             self._blocks_complete = set(state.blocks_complete)
             self._ft_durable = state.n_durable
             for rid, h, bucket, dest, payload in state.live_runs:
-                self.runs_on_asu[dest].append((bucket, payload))
-                # Source host -1: a restored run is disk-durable with exact
-                # frag lineage, so a *new* crash of its original source host
-                # must not discard it (no retained frags exist to replay it
-                # from).  Its lineage host still re-replicates it if the
-                # destination ASU dies — the rid keys the manifest update.
-                self._run_hosts[dest].append(-1)
-                if self._replica_mgr is not None:
-                    # The replica manager takes over re-replication duty
-                    # (keyed by rid); anti-entropy tops the run back to r.
-                    self._replica_mgr.adopt_restored(rid, h, bucket, payload, dest)
-                else:
-                    self._run_log[h].append(_RunEntry(bucket, payload, dest, rid))
+                self._runs.adopt(rid, h, bucket, dest, payload)
 
         if self.transport == "reliable":
             # One endpoint per node, each with its own RNG stream (fresh
             # registry per run so a re-run reproduces the same jitter).
             rngs = RngRegistry(self.rngs.seed)
-            cooldown = (
-                self.breaker_cooldown
-                if self.breaker_cooldown is not None
-                else self.retry_policy.timeout * 8
-            )
             self.breaker_board = BreakerBoard(
-                plat.sim, fail_threshold=self.breaker_threshold, cooldown=cooldown
+                plat.sim, cooldown=self.retry_policy.timeout * _BREAKER_COOLDOWN_TIMEOUTS
             )
             self._endpoints = {
                 node.node_id: ReliableEndpoint(
@@ -823,28 +782,12 @@ class DsmSortJob:
                     rng=rngs.get(f"rel.{node.node_id}"),
                     policy=self.retry_policy,
                     board=self.breaker_board,
-                    inbox_capacity=self.mailbox_capacity,
                 )
                 for node in [*plat.hosts, *plat.asus]
             }
         else:
             self._endpoints = None
             self.breaker_board = None
-
-        if self.detection_mode == "network":
-            # Membership view: epochs fence replica writes and manifest
-            # appends, so an expelled-but-alive node's in-flight mutations
-            # are rejected (typed) instead of silently racing the takeover.
-            from ..membership import ViewService
-
-            self.view = ViewService(
-                [f"asu{d}" for d in range(D)] + [f"host{h}" for h in range(H)],
-                metrics=self.metrics,
-            )
-            if self._replica_mgr is not None:
-                self._replica_mgr.attach_view(self.view)
-            if self.manifest is not None:
-                self.manifest.attach_view(self.view)
 
         injector = Injector(plat, self.faults, on_fault=self._on_fault_ft)
         detector = FailureDetector(
@@ -866,16 +809,16 @@ class DsmSortJob:
             )
         for h in range(H):
             plat.spawn(
-                self._host_pass1_ft(plat, h, rs, sort_cpr),
+                self._host_pass1_ft(plat, h, sort_cpr),
                 name=f"host{h}", node=plat.hosts[h],
             )
         for d in range(D):
             plat.spawn(
-                self._asu_consumer_ft(plat, d, rs),
+                self._asu_consumer_ft(plat, d),
                 name=f"cons{d}", node=plat.asus[d],
             )
-        if self._replica_mgr is not None:
-            plat.spawn(self._repair_loop_ft(plat, rs), name="repair")
+        for name, proc in self._runs.background():
+            plat.spawn(proc, name=name)
         coord = plat.spawn(self._coordinator_ft(plat), name="coordinator")
         if self.speculation is not None:
             from ..recovery.speculate import Speculator
@@ -887,16 +830,7 @@ class DsmSortJob:
         if not completed and deadline is None and not self._coord_crashed:
             raise RuntimeError("fault-tolerant pass 1 never completed (deadlock?)")
         makespan = plat.sim.now
-        if completed:
-            self._pass1_done = True
-            self._pass1_makespan = makespan
-            if self.tracer is not None:
-                self.tracer.span(0.0, makespan, "job", "pass1",
-                                 cat="phase", sid="pass1")
-            if self.manifest is not None:
-                self.manifest.log_pass1_done(makespan)
-        if self.metrics is not None and self.metrics.collector is not None:
-            self.metrics.collector.finalize(makespan)
+        self._finish_pass1(makespan, completed)
         self.fault_report = FaultReport.from_run(injector, detector, self.recovered_at)
         channel_stats = None
         n_trips = 0
@@ -906,21 +840,10 @@ class DsmSortJob:
                 for k, v in ep.stats.as_dict().items():
                     channel_stats[k] = channel_stats.get(k, 0) + v
             n_trips = self.breaker_board.n_trips()
-        return Pass1Result(
-            makespan=makespan,
-            host_util=[x.cpu.utilization(makespan) for x in plat.hosts],
-            asu_cpu_util=[a.cpu.utilization(makespan) for a in plat.asus],
-            asu_disk_util=[a.disk.utilization(makespan) for a in plat.asus],
-            n_runs=sum(len(r) for r in self.runs_on_asu),
-            net_bytes=plat.network.bytes_total,
-            imbalance=self.load_manager.imbalance(),
-            host_util_series=[
-                x.cpu.busy.utilization_series(makespan, dt=util_dt)
-                for x in plat.hosts
-            ],
+        return self._pass1_result(
+            plat, makespan, util_dt,
             fault_report=self.fault_report,
             n_replayed_frags=self._n_replayed_frags,
-            n_reemitted_runs=self._n_reemitted_runs,
             n_takeover_blocks=self._n_takeover_blocks,
             completed=completed,
             n_durable=self._ft_durable,
@@ -929,34 +852,14 @@ class DsmSortJob:
             coordinator_crashed=self._coord_crashed,
             n_hedged_shards=self._n_hedged_shards,
             n_hedge_wasted_frags=self._n_hedge_wasted_frags,
-            n_promoted_runs=(
-                0 if self._replica_mgr is None
-                else self._replica_mgr.n_promoted_runs
-            ),
-            n_repaired_copies=(
-                0 if self._replica_mgr is None
-                else self._replica_mgr.n_repaired_copies
-            ),
-            n_retargeted_copies=(
-                0 if self._replica_mgr is None
-                else self._replica_mgr.n_retargeted_copies
-            ),
-            n_underreplicated=(
-                0 if self._replica_mgr is None
-                else len(self._replica_mgr.under_replicated_keys())
-            ),
             n_epoch_rejections=(
                 0 if self.view is None else self.view.n_rejections
             ),
             n_readmitted=self._n_readmitted,
-            n_reconciled_runs=self._n_reconciled_runs,
-            n_divergent_copies=(
-                0 if self._replica_mgr is None
-                else self._replica_mgr.n_divergent_copies
-            ),
             n_quarantine_holds=detector.n_quarantine_holds,
             n_dup_frags_dropped=self._n_dup_frags_dropped,
             view_epoch=0 if self.view is None else self.view.epoch,
+            **self._runs.counters(),
         )
 
     # -- reliable-transport plumbing (falls through to the direct path) -------
@@ -1183,7 +1086,7 @@ class DsmSortJob:
                     tag="eof",
                 )
 
-    def _host_pass1_ft(self, plat: ActivePlatform, h: int, rs: int, sort_cpr: float):
+    def _host_pass1_ft(self, plat: ActivePlatform, h: int, sort_cpr: float):
         """Perpetual host worker: buffer, cut runs, flush at D EOFs.
 
         After the flush, each late fragment (a replay or a takeover tail)
@@ -1217,7 +1120,7 @@ class DsmSortJob:
                         if buffered[bucket]:
                             batch = concat_records(buffers[bucket], self.params.schema)
                             yield from self._emit_run_ft(
-                                plat, host, h, bucket, batch, rs, sort_cpr,
+                                plat, host, h, bucket, batch, sort_cpr,
                                 fkeys=fkeys[bucket] if mani else None,
                             )
                     buffers.clear()
@@ -1225,15 +1128,9 @@ class DsmSortJob:
                     fkeys.clear()
                 continue
             if kind == "reemit":
-                # Re-replicate runs stranded on dead ASU ``src``.  Riding the
-                # mailbox serialises this after any in-flight emit, so every
-                # lineage entry bound for ``src`` exists before the scan.
-                for entry in list(self._run_log[h]):
-                    if entry.dest == src:
-                        yield from self._repost_run_ft(plat, host, h, entry, rs)
-                continue
-            if kind == "reemit_set":
-                yield from self._reemit_sets_ft(plat, host, h, msg.payload[2], rs)
+                # Riding the mailbox serialises the re-emit after any
+                # in-flight emit of this host.
+                yield from self._runs.reemit(host, h, msg.payload[2])
                 continue
             frags = msg.payload[2]
             entries = msg.payload[3]
@@ -1268,7 +1165,7 @@ class DsmSortJob:
             if flushed:
                 for (bucket, piece), e in zip(frags, entries):
                     yield from self._emit_run_ft(
-                        plat, host, h, bucket, piece, rs, sort_cpr,
+                        plat, host, h, bucket, piece, sort_cpr,
                         fkeys=[(e.src_d, e.block, bucket)] if mani else None,
                     )
                 continue
@@ -1284,7 +1181,7 @@ class DsmSortJob:
                         fkeys[bucket] = []
                         buffered[bucket] = 0
                         yield from self._emit_run_ft(
-                            plat, host, h, bucket, batch, rs, sort_cpr, fkeys=keys
+                            plat, host, h, bucket, batch, sort_cpr, fkeys=keys
                         )
                 continue
             for bucket, piece in frags:
@@ -1296,10 +1193,10 @@ class DsmSortJob:
                     buffers[bucket] = [rest] if rest.shape[0] else []
                     buffered[bucket] = rest.shape[0]
                     yield from self._emit_run_ft(
-                        plat, host, h, bucket, run_src, rs, sort_cpr
+                        plat, host, h, bucket, run_src, sort_cpr
                     )
 
-    def _emit_run_ft(self, plat, host, h, bucket, batch, rs, sort_cpr, fkeys=None):
+    def _emit_run_ft(self, plat, host, h, bucket, batch, sort_cpr, fkeys=None):
         """Sort one run, log its lineage, stripe it to an alive ASU.
 
         ``fkeys`` (checkpointed runs) is the exact list of fragment keys the
@@ -1321,250 +1218,35 @@ class DsmSortJob:
         self._trace_records(
             plat.sim, f"host{h}.sort", batch.shape[0], dt=plat.sim.now - t0
         )
-        nbytes = run.shape[0] * rs
-        if self._replica_mgr is not None:
-            yield from self._emit_run_replicated(
-                plat, host, h, bucket, run, nbytes, fkeys
-            )
-            return
-        yield from host.cpu.execute(cycles=nbytes * self.params.cycles_per_net_byte)
-        # Atomic: destination choice + lineage entry + post.  (Runs bypass
-        # the credit window — the high-volume fragment path is what the
-        # window gates; a blocking wait here would break emit atomicity.)
-        d = self._next_alive_stripe(h)
-        rid = None
-        if fkeys is not None and self.manifest is not None:
-            rid = self.manifest.new_rid()
-            self.manifest.register_run(rid, h, bucket, fkeys)
-        self._run_log[h].append(_RunEntry(bucket, run, d, rid))
-        payload = ("run", bucket, run) if rid is None else ("run", bucket, run, rid)
-        self._post_from(
-            host.node_id, plat.asus[d].node_id, payload, nbytes, tag="run",
-        )
+        yield from self._runs.emit(host, h, bucket, run, fkeys)
 
-    def _reemit_sets_ft(self, plat, host, h, keys, rs):
-        """Fan fresh copies out for sets fully stranded by an ASU crash.
+    def _register_run(self, h: int, bucket: int, fkeys):
+        """Manifest id for a run about to be posted (None when unjournaled);
+        called inside the durability layer's yield-free emit region."""
+        if fkeys is None or self.manifest is None:
+            return None
+        rid = self.manifest.new_rid()
+        self.manifest.register_run(rid, h, bucket, fkeys)
+        return rid
 
-        Riding the host mailbox serialises this behind in-flight emits; each
-        set re-checks its state after the NIC charge, so a set repaired or
-        purged meanwhile is skipped rather than double-shipped.
-        """
-        mgr = self._replica_mgr
-        cpnb = self.params.cycles_per_net_byte
-        for key in keys:
-            st = mgr.sets.get(key)
-            if st is None or st.copies or st.targets:
-                continue  # repaired, re-planned, or purged meanwhile
-            if len(self._dead_asus) >= self.params.n_asus:
-                raise UnrecoverableJobError("no alive ASU to replicate runs onto")
-            nbytes = int(st.run.shape[0]) * rs
-            k = max(1, min(mgr.config.r, self.params.n_asus - len(self._dead_asus)))
-            yield from host.cpu.execute(cycles=nbytes * cpnb * k)
-            # Atomic: fresh targets + posts (see _emit_run_replicated).
-            st = mgr.sets.get(key)
-            if st is None:
-                continue
-            targets = mgr.retarget(key)
-            if not targets:
-                continue
-            self._n_reemitted_runs += 1
-            for dst in targets:
-                self._post_from(
-                    host.node_id, plat.asus[dst].node_id,
-                    ("runr", st.bucket, st.run, key), nbytes, tag="run",
-                )
-
-    def _emit_run_replicated(self, plat, host, h, bucket, run, nbytes, fkeys):
-        """Replicated emit: fan the sorted run out to its placement targets.
-
-        NIC cost is charged per planned copy; the region after the charge is
-        yield-free and re-validates the plan against the current dead set
-        (:meth:`ReplicationManager.register_emit`), so a fail-stop can only
-        land before the whole fan-out or after it — never between the set
-        registration and its posts.
-        """
-        mgr = self._replica_mgr
-        k = max(1, min(mgr.config.r, self.params.n_asus - len(self._dead_asus)))
-        yield from host.cpu.execute(
-            cycles=nbytes * self.params.cycles_per_net_byte * k
-        )
-        rid = None
-        if fkeys is not None and self.manifest is not None:
-            rid = self.manifest.new_rid()
-            self.manifest.register_run(rid, h, bucket, fkeys)
-        key, targets = mgr.register_emit(h, bucket, run, rid=rid)
-        if not targets:
-            raise UnrecoverableJobError("no alive ASU to replicate runs onto")
-        for d in targets:
-            self._post_from(
-                host.node_id, plat.asus[d].node_id,
-                ("runr", bucket, run, key), nbytes, tag="run",
-            )
-
-    def _repost_run_ft(self, plat, host, h, entry, rs):
-        nbytes = entry.run.shape[0] * rs
-        yield from host.cpu.execute(cycles=nbytes * self.params.cycles_per_net_byte)
-        entry.dest = self._next_alive_stripe(h)
-        self._n_reemitted_runs += 1
-        payload = (
-            ("run", entry.bucket, entry.run)
-            if entry.rid is None
-            else ("run", entry.bucket, entry.run, entry.rid)
-        )
-        self._post_from(
-            host.node_id, plat.asus[entry.dest].node_id,
-            payload, nbytes, tag="run",
-        )
-
-    def _next_alive_stripe(self, h: int) -> int:
-        """Next ASU to stripe a run onto: alive, and (reliable mode) with a
-        healthy breaker on the host->ASU link.  The second pass relaxes the
-        breaker condition — when every alive link is quarantined, a degraded
-        link still beats no link (graceful degradation, not deadlock)."""
-        D = self.params.n_asus
-        board = self.breaker_board
-        host_id = f"host{h}"
-        for allow_open in (False, True):
-            start = self._stripe_next[h]
-            for step in range(D):
-                d = (start + step) % D
-                if d in self._dead_asus:
-                    continue
-                if (
-                    not allow_open
-                    and board is not None
-                    and not board.healthy(host_id, f"asu{d}")
-                ):
-                    continue
-                self._stripe_next[h] = d + 1
-                return d
-        raise UnrecoverableJobError("no alive ASU to stripe runs onto")
-
-    def _asu_consumer_ft(self, plat: ActivePlatform, d: int, rs: int):
+    def _asu_consumer_ft(self, plat: ActivePlatform, d: int):
         """Perpetual consumer: make runs durable, drop quarantined hosts'."""
         asu = plat.asus[d]
         while True:
             msg = yield from self._recv_node(asu)
-            if msg.payload[0] == "runr":
-                yield from self._consume_replica_ft(plat, asu, d, rs, msg)
-                continue
             if msg.payload[0] != "run":
                 continue
-            bucket, run = msg.payload[1], msg.payload[2]
-            src_h = int(msg.src[4:])  # "hostN"
-            if src_h in self._dead_hosts:
-                continue  # orphan of a quarantined host; its frags replay
-            t0 = plat.sim.now
-            yield from asu.disk_write(run.shape[0] * rs)
-            if src_h in self._dead_hosts:
-                continue  # emitter died during our write; the purge ran
-            if self.view is not None and not self._epoch_guard(
-                asu.node_id, "run write"
-            ):
-                continue  # fenced: this ASU was expelled while we wrote
-            # Atomic: durability record + completion check.
-            self.runs_on_asu[d].append((bucket, run))
-            self._run_hosts[d].append(src_h)
-            if self.manifest is not None and len(msg.payload) > 3:
-                self.manifest.log_run_durable(msg.payload[3], d, run)
-            self._trace_records(
-                plat.sim, f"asu{d}.write", run.shape[0], dt=plat.sim.now - t0
-            )
-            self._ft_durable += run.shape[0]
-            if self._ft_durable >= self._ft_total and not self._complete_ev.triggered:
-                self._complete_ev.succeed()
+            delta = yield from self._runs.consume(asu, d, msg)
+            if delta:
+                self._credit_durable(delta)
 
-    def _consume_replica_ft(self, plat, asu, d, rs, msg):
-        """Make one replica copy durable; the manager owns the accounting.
-
-        Handles host-emitted fan-out, stranded-set re-emits, and asu->asu
-        repair copies alike — the liveness check keys on the *set's* source
-        host, never on ``msg.src`` (a repair copy's wire source is an ASU).
-        """
-        mgr = self._replica_mgr
-        bucket, run, key = msg.payload[1], msg.payload[2], msg.payload[3]
-        st = None if mgr is None else mgr.sets.get(key)
-        if st is None or (st.src_host >= 0 and st.src_host in self._dead_hosts):
-            return  # orphan of a purged set; frag replay covers its records
-        t0 = plat.sim.now
-        yield from asu.disk_write(run.shape[0] * rs)
-        st = mgr.sets.get(key)
-        if st is None or (st.src_host >= 0 and st.src_host in self._dead_hosts):
-            return  # the set died during our write; its purge already ran
-        # Atomic: durability record + completion check.  With a view
-        # attached, the manager validates this ASU's epoch first: a copy
-        # landing here after our expulsion is the typed split-brain
-        # rejection the partition sweep asserts on.
-        try:
-            delta, fresh = mgr.copy_durable(key, d)
-        except StaleEpochError:
-            return
-        if fresh:
-            self.runs_on_asu[d].append((bucket, run))
-            # Manifest-restored sets keep the legacy -1 tag: a new crash of
-            # their lineage host must not discard the physical copies.
-            self._run_hosts[d].append(-1 if key[0] == 1 else st.src_host)
-            self._trace_records(
-                plat.sim, f"asu{d}.write", run.shape[0], dt=plat.sim.now - t0
-            )
-        if delta:
-            self._ft_durable += delta
-            if self._ft_durable >= self._ft_total and not self._complete_ev.triggered:
-                self._complete_ev.succeed()
-
-    def _repair_loop_ft(self, plat: ActivePlatform, rs: int):
-        """Anti-entropy: re-replicate under-replicated sets in the background.
-
-        A simulated-time process tied to no node, so it survives every
-        crash.  Each cycle walks the under-replicated sets in deterministic
-        key order, reads the least-loaded alive copy (read steering over the
-        ``repro_replica_read_bytes`` gauge vector), posts one fresh copy
-        asu->asu, and paces itself to the configured bandwidth budget so
-        repair traffic shares the fleet with foreground work instead of
-        stampeding it.
-        """
-        mgr = self._replica_mgr
-        cfg = mgr.config
-        bw = cfg.repair_bandwidth
-        if bw is None:
-            # Default budget: a quarter of one disk's streaming rate.
-            bw = self.params.disk_rate * 0.25
-        while True:
-            yield plat.sim.timeout(cfg.repair_interval)
-            for key in mgr.under_replicated_keys():
-                st = mgr.sets.get(key)
-                if st is None or not st.copies or st.repair_inflight:
-                    continue  # stranded sets take the reemit path instead
-                src = mgr.pick_read_copy(st)
-                dest = mgr.next_repair_target(key)
-                if src is None or dest is None:
-                    continue
-                nbytes = int(st.run.shape[0]) * rs
-                # Atomic mark: the copy is in flight before any yield, so a
-                # concurrent sweep cannot schedule the same repair twice.
-                st.targets.add(dest)
-                st.repair_inflight.add(dest)
-                yield from plat.asus[src].disk.read(nbytes)
-                st = mgr.sets.get(key)
-                if st is None:
-                    continue
-                if dest in self._dead_asus or src not in st.copies:
-                    # Source or destination died during the read: unwind the
-                    # in-flight mark and let the next cycle re-plan.
-                    st.targets.discard(dest)
-                    st.repair_inflight.discard(dest)
-                    continue
-                mgr.note_read(src, nbytes)
-                self._post_from(
-                    plat.asus[src].node_id, plat.asus[dest].node_id,
-                    ("runr", st.bucket, st.run, key), nbytes, tag="run",
-                )
-                yield plat.sim.timeout(nbytes / bw)
+    def _credit_durable(self, n: int) -> None:
+        self._ft_durable += n
+        if self._ft_durable >= self._ft_total and not self._complete_ev.triggered:
+            self._complete_ev.succeed()
 
     def _coordinator_ft(self, plat: ActivePlatform):
         """Stop the clock once every input record is durable (post-drain)."""
-        from ..sim import Event
-
         while True:
             if self._ft_durable < self._ft_total:
                 if self._complete_ev.triggered:
@@ -1583,83 +1265,20 @@ class DsmSortJob:
     def _on_fault_ft(self, fault) -> None:
         """Ground-truth accounting at the crash instant: data on the dead
         device is gone *now*, whatever the detector believes."""
+        plat = self._ft_plat
         if fault.kind == "crash_asu":
-            self._readmit_stash.pop(fault.index, None)
-            self._purge_asu_runs(fault.index)
+            self._ft_durable += self._runs.asu_lost(plat.asus[fault.index])
         elif fault.kind == "crash_host":
-            self._purge_host_runs(fault.index)
+            self._ft_durable += self._runs.host_lost(fault.index)
         elif fault.kind == "lose_replica":
-            # Media loss on an alive ASU: its durable copies vanish but the
-            # node keeps serving.  Promotion keeps satisfied sets counted;
-            # the anti-entropy loop restores the lost redundancy.  Loss also
-            # voids any expulsion-time snapshot — a re-admission must not
-            # readopt copies the media no longer holds.
-            d = fault.index
-            self._readmit_stash.pop(d, None)
-            delta = self._replica_mgr.lose_copies_on(
-                d, now=self._ft_plat.sim.now
-            )
-            self._ft_durable += delta
-            self.runs_on_asu[d] = []
-            self._run_hosts[d] = []
+            self._ft_durable += self._runs.media_lost(plat.asus[fault.index])
         elif fault.kind == "crash_coordinator":
             # Whole-job fail-stop: every volatile structure (host buffers,
             # in-flight messages, ship markers) dies with this platform.
             # What survives is exactly the manifest and the run payloads it
             # references; repro.recovery.checkpoint resumes from there.
             self._coord_crashed = True
-            self._ft_plat.sim.schedule_callback(self._ft_plat.sim.stop)
-
-    def _purge_asu_runs(self, d: int) -> None:
-        if self._replica_mgr is not None:
-            # The manager re-derives counting per set: surviving copies keep
-            # satisfied sets counted (promotion), only sets that lost their
-            # write policy subtract.  It also rewrites the manifest frontier
-            # (purge the dead ASU, re-log promoted sets at a survivor).
-            delta = self._replica_mgr.on_asu_crash(d, now=self._ft_plat.sim.now)
-            self._ft_durable += delta
-            self.runs_on_asu[d] = []
-            self._run_hosts[d] = []
-            return
-        lost = sum(r.shape[0] for _b, r in self.runs_on_asu[d])
-        if lost:
-            self._ft_durable -= lost
-        if self.runs_on_asu[d] and self.manifest is not None:
-            self.manifest.log_purge_asu(d)
-        self.runs_on_asu[d] = []
-        self._run_hosts[d] = []
-
-    def _purge_host_runs(self, h: int) -> None:
-        if self._replica_mgr is not None:
-            # Manager-owned accounting and manifest purge; the physical
-            # filter below still removes every copy tagged with the dead
-            # host (restored sets carry -1 and survive, matching legacy).
-            self._ft_durable += self._replica_mgr.on_host_crash(h)
-            for d in range(self.params.n_asus):
-                keep = [
-                    (e, src)
-                    for e, src in zip(self.runs_on_asu[d], self._run_hosts[d])
-                    if src != h
-                ]
-                self.runs_on_asu[d] = [e for e, _s in keep]
-                self._run_hosts[d] = [src for _e, src in keep]
-            return
-        purged = False
-        for d in range(self.params.n_asus):
-            keep_r, keep_h, lost = [], [], 0
-            for (bucket, run), src in zip(self.runs_on_asu[d], self._run_hosts[d]):
-                if src == h:
-                    lost += run.shape[0]
-                else:
-                    keep_r.append((bucket, run))
-                    keep_h.append(src)
-            if lost:
-                purged = True
-                self.runs_on_asu[d] = keep_r
-                self._run_hosts[d] = keep_h
-                self._ft_durable -= lost
-        if purged and self.manifest is not None:
-            self.manifest.log_purge_host(h)
+            plat.sim.schedule_callback(plat.sim.stop)
 
     def _on_detected_ft(self, node, t: float) -> None:
         plat = self._ft_plat
@@ -1680,7 +1299,7 @@ class DsmSortJob:
                 # recovery below.
                 for ep in self._endpoints.values():
                     ep.cancel_peer(nid)
-            self._purge_asu_runs(d)  # idempotent; the crash hook already ran
+            self._ft_durable += self._runs.asu_lost(node)  # idempotent; the crash hook already ran
             # Re-assign every shard the dead ASU owned to the next alive
             # mirror holder; ship markers make the takeover resume exactly
             # where the dead producer stopped.
@@ -1703,31 +1322,13 @@ class DsmSortJob:
                         else None
                     )
                 )
-            if self._replica_mgr is not None:
-                # Promotion already kept satisfied sets durable at the crash
-                # instant; only fully-stranded sets (no copy, no in-flight
-                # target) need their source host to fan out fresh copies.
-                pending = self._replica_mgr.pending_reemits
-                for h in sorted(pending):
-                    keys = tuple(pending[h])
-                    if not keys or h < 0 or h in self._dead_hosts:
-                        continue
-                    plat.hosts[h].mailbox.put(
-                        self._Message(
-                            "system", plat.hosts[h].node_id,
-                            ("reemit_set", h, keys), 0, tag="ctl",
-                        )
+            for h, request in self._runs.detected(d):
+                plat.hosts[h].mailbox.put(
+                    Message(
+                        "system", plat.hosts[h].node_id,
+                        ("reemit", h, request), 0, tag="ctl",
                     )
-                pending.clear()
-            else:
-                for h in range(self.params.n_hosts):
-                    if h not in self._dead_hosts:
-                        plat.hosts[h].mailbox.put(
-                            self._Message(
-                                "system", plat.hosts[h].node_id,
-                                ("reemit", d, None), 0, tag="ctl",
-                            )
-                        )
+                )
         else:
             h = node.index
             if h in self._dead_hosts:
@@ -1742,7 +1343,7 @@ class DsmSortJob:
                 for ep in self._endpoints.values():
                     ep.cancel_peer(nid)
             self.load_manager.quarantine(h)
-            self._purge_host_runs(h)  # idempotent; the crash hook already ran
+            self._ft_durable += self._runs.host_lost(h)  # idempotent; the crash hook already ran
             for e in self._frag_log.pop(h, []):
                 if e.done:
                     continue
@@ -1768,21 +1369,9 @@ class DsmSortJob:
         raise UnrecoverableJobError("no alive ASU for shard takeover")
 
     # -- membership-mode fencing and re-admission (docs/PARTITIONS.md) --------
-    def _epoch_guard(self, nid: str, op: str) -> bool:
-        """Validate ``nid``'s token for ``op``; False (counted) on stale."""
-        try:
-            self.view.validate(nid, op=op)
-        except StaleEpochError:
-            return False
-        return True
-
     def _fence_asu_ft(self, node, d: int, t: float) -> None:
         """Expel an ASU from the view and unwind its zombie state.
 
-        For an alive-but-unreachable node this additionally snapshots which
-        replica copies it held, with content digests, so a later
-        re-admission can offer them back verified
-        (:meth:`~repro.replica.manager.ReplicationManager.readopt_copy`).
         Dead or alive, the node's in-doubt ship state is unwound — every
         fragment it shipped that no host has proven accepted, plus the EOF
         announcements of its shards — so the fenced takeover re-produces
@@ -1792,15 +1381,6 @@ class DsmSortJob:
         """
         nid = node.node_id
         if node.alive:
-            if self._replica_mgr is not None:
-                from ..recovery.manifest import digest_records
-
-                mgr = self._replica_mgr
-                self._readmit_stash[d] = [
-                    (key, digest_records(st.run))
-                    for key, st in sorted(mgr.sets.items())
-                    if d in st.copies
-                ]
             self._fenced_asus.add(d)
         if self._endpoints is not None:
             # Stop the retransmission churn into the cut.  The cancelled
@@ -1855,25 +1435,9 @@ class DsmSortJob:
         d = node.index
         self._dead_asus.discard(d)
         self._fenced_asus.discard(d)
-        mgr = self._replica_mgr
-        if mgr is None:
-            return
-        mgr.on_asu_readmit(d)
-        delta_total = 0
-        for key, digest in self._readmit_stash.pop(d, ()):
-            delta, adopted = mgr.readopt_copy(key, d, digest)
-            if adopted:
-                st = mgr.sets[key]
-                self.runs_on_asu[d].append((st.bucket, st.run))
-                # -1: a readopted copy is digest-verified durable state; a
-                # later crash of its lineage host must not discard it.
-                self._run_hosts[d].append(-1)
-                self._n_reconciled_runs += 1
-            delta_total += delta
-        if delta_total:
-            self._ft_durable += delta_total
-            if self._ft_durable >= self._ft_total and not self._complete_ev.triggered:
-                self._complete_ev.succeed()
+        delta = self._runs.asu_readmitted(d)
+        if delta:
+            self._credit_durable(delta)
 
     def _replay_frag_entry(self, plat: ActivePlatform, e: _FragEntry) -> None:
         """Re-route one retained fragment to a surviving host.
@@ -1947,12 +1511,10 @@ class DsmSortJob:
                 "manifest does not record pass-1 completion; resume with "
                 "run_pass1 instead"
             )
-        D = self.params.n_asus
-        self.runs_on_asu = [[] for _ in range(D)]
-        self._run_hosts = [[] for _ in range(D)]
+        self.runs_on_asu = [[] for _ in range(self.params.n_asus)]
+        self._runs = StripedRuns(self)
         for rid, h, bucket, dest, payload in state.live_runs:
             self.runs_on_asu[dest].append((bucket, payload))
-            self._run_hosts[dest].append(h)
         self._pass1_done = True
         self._pass1_makespan = state.pass1_makespan
 
@@ -2002,15 +1564,8 @@ class DsmSortJob:
             for bucket in sorted(merged_restored):
                 self.final_buckets[bucket].append(merged_restored[bucket])
 
-        # Replicated pass 1: every run exists on up to r ASUs, but the merge
-        # must read each run exactly once.  The manager assigns every run to
-        # its least-loaded alive copy holder (greedy over the read-bytes
-        # gauge vector), so pass-2 read load spreads across the replica sets.
-        replica_plan = (
-            self._replica_mgr.read_plan()
-            if self._replica_mgr is not None
-            else None
-        )
+        # One read per logical run (a replicated pass 1 holds up to r copies).
+        read_plan = self._runs.read_plan()
 
         def plan_groups(d):
             """(bucket, runs-or-None) items in bucket order; None = done marker.
@@ -2021,8 +1576,7 @@ class DsmSortJob:
             the pipelined-phases execution of §3.3.
             """
             by_bucket: dict[int, list[np.ndarray]] = defaultdict(list)
-            local = self.runs_on_asu[d] if replica_plan is None else replica_plan[d]
-            for bucket, run in local:
+            for bucket, run in read_plan[d]:
                 by_bucket[bucket].append(run)
             items: list[tuple[int, Optional[list[np.ndarray]]]] = []
             for bucket in range(self.config.alpha):
@@ -2125,8 +1679,6 @@ class DsmSortJob:
                         n_finished += 1
                 else:
                     partials[bucket].append(payload)
-
-        from ..sim import Store
 
         procs = []
         for d in range(D):

@@ -17,10 +17,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - charge_batch degrades to lists
-    np = None
+import numpy as np
 
 from ..sim import BusyTracker, Resource, Simulator
 from ..sim.core import Timeout
@@ -77,14 +74,12 @@ class Cpu:
 
         One NumPy divide instead of N scalar conversions; each element is
         bit-identical to the scalar path (same IEEE-754 division by the same
-        denominator).  Falls back to a plain list when NumPy is unavailable.
+        denominator).
         Uses the *current* speed factor — precompute charges only for work
         that starts before the next speed change, as :meth:`execute` does
         per segment.
         """
         denom = self.clock_hz * self.speed_factor
-        if np is None:  # pragma: no cover - exercised via the fallback tests
-            return [float(c) / denom for c in cycles]
         return np.asarray(cycles, dtype=np.float64) / denom
 
     def set_speed(self, factor: float) -> None:

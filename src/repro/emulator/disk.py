@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - transfer_time_batch degrades to lists
-    np = None
+import numpy as np
 
 from ..sim import BusyTracker, Simulator
 
@@ -116,10 +113,8 @@ class Disk:
         """Vectorized :meth:`transfer_time` over a stripe of transfer sizes.
 
         Bit-identical per element to the scalar path (one IEEE-754 divide by
-        the same rate); plain-list fallback when NumPy is unavailable.
+        the same rate).
         """
-        if np is None:  # pragma: no cover - exercised via the fallback tests
-            return [float(n) / self.rate for n in nbytes]
         return np.asarray(nbytes, dtype=np.float64) / self.rate
 
     def _enqueue(self, nbytes: int, op: str) -> tuple[float, float]:

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - transfer_time_batch degrades to lists
-    np = None
+import numpy as np
 
 from ..sim import Simulator, Store
 
@@ -101,12 +98,9 @@ class Link:
         """Vectorized :meth:`transfer_time` over a stripe of message sizes.
 
         Bit-identical per element to the scalar path (same divide, same
-        add); plain-list fallback when NumPy is unavailable.  Unloaded times
-        only — queueing behind earlier messages is the timeline's job
-        (:meth:`reserve`).
+        add).  Unloaded times only — queueing behind earlier messages is the
+        timeline's job (:meth:`reserve`).
         """
-        if np is None:  # pragma: no cover - exercised via the fallback tests
-            return [n / self.bandwidth + self.latency for n in nbytes]
         return np.asarray(nbytes, dtype=np.float64) / self.bandwidth + self.latency
 
 

@@ -18,10 +18,7 @@ from __future__ import annotations
 import abc
 import math
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - record batches degrade to lists
-    np = None
+import numpy as np
 
 from ..emulator.params import SystemParams
 
@@ -79,7 +76,7 @@ class Functor(abc.ABC):
 
         Evaluates the same expression with the same operand grouping, so
         each element is bit-identical to the scalar path.  Returns a NumPy
-        array (or a plain list when NumPy is unavailable).
+        array.
         """
         cpr = self.compares_per_record()
         if math.isinf(cpr):
@@ -87,8 +84,6 @@ class Functor(abc.ABC):
                 f"{self.name}: unbounded per-record cost cannot be scheduled"
             )
         per_record = cpr * params.cycles_per_compare + params.cycles_per_record
-        if np is None:  # pragma: no cover - exercised via the fallback tests
-            return [n * per_record for n in n_records]
         return np.asarray(n_records, dtype=np.float64) * per_record
 
     # -- the real computation ----------------------------------------------------

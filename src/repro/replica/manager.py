@@ -24,10 +24,10 @@ with (:func:`repro.core.routing.pick_least_loaded`).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from ..core.routing import pick_least_loaded
-from ..faults.errors import StaleEpochError
 from .placement import ReplicaPlacement
 
 __all__ = ["ReplicaSet", "ReplicationConfig", "ReplicationManager"]
@@ -138,7 +138,8 @@ class ReplicationManager:
         self.sets: dict[tuple, ReplicaSet] = {}
         self._dead: set[int] = set()
         self._seq = 0
-        #: membership view fencing replica writes (None = fail-stop trust)
+        #: membership view fencing replica writes (docs/PARTITIONS.md), set
+        #: by the owner; None = fail-stop trust
         self.view = None
         labels = job_labels or {}
         self._gv_copies = registry.gauge_vector(
@@ -147,7 +148,12 @@ class ReplicationManager:
         self._gv_read = registry.gauge_vector(
             "repro_replica_read_bytes", n_asus, index_label="asu", **labels
         )
-        self._g_under = registry.gauge("repro_replica_underreplicated", **labels)
+        # Derived at scrape time, off every mutation path.
+        registry.gauge(
+            "repro_replica_underreplicated",
+            fn=lambda t: float(len(self.under_replicated_keys())),
+            **labels,
+        )
         self._c_promoted = registry.counter(
             "repro_replica_promotions_total", **labels
         )
@@ -163,24 +169,9 @@ class ReplicationManager:
         self.pending_reemits: dict[int, list[tuple]] = {}
         # exposed counters (mirrored into Pass1Result)
         self.n_promoted_runs = 0
-        self.n_lost_runs = 0
         self.n_repaired_copies = 0
         self.n_retargeted_copies = 0
-        self.n_fenced_writes = 0
-        self.n_readopted_copies = 0
         self.n_divergent_copies = 0
-
-    # -- membership fencing ---------------------------------------------------
-    def attach_view(self, view) -> None:
-        """Fence writes with a membership view (docs/PARTITIONS.md).
-
-        With a view attached, :meth:`copy_durable` validates the destination
-        node's epoch before accepting the write, so a copy landing on an
-        expelled-but-alive ASU raises
-        :class:`~repro.faults.errors.StaleEpochError` instead of silently
-        mutating state the survivors no longer expect to change.
-        """
-        self.view = view
 
     # -- counting invariant ---------------------------------------------------
     def _needed(self, st: ReplicaSet) -> int:
@@ -202,37 +193,31 @@ class ReplicationManager:
         want = min(self.config.r, self.n_asus - len(self._dead))
         return len(st.copies | st.targets) < want
 
-    def _refresh_under_gauge(self) -> None:
-        n = sum(1 for st in self.sets.values() if self._under_replicated(st))
-        self._g_under.set(float(n))
+    def _candidates(self, shard_key: int, st: Optional[ReplicaSet] = None):
+        """Alive ASUs by placement rank, minus ``st``'s holders and targets.
+        Eager on purpose: ROADMAP 1(a) holds the ``placement.ranked`` switch."""
+        for d in self.placement.replicas(shard_key, self.n_asus):
+            if d in self._dead:
+                continue
+            if st is not None and (d in st.copies or d in st.targets):
+                continue
+            yield d
 
     # -- write path -----------------------------------------------------------
-    def plan_targets(self, shard_key: int) -> list[int]:
-        """Ordered alive replica set for a new run (pure placement read)."""
-        want = min(self.config.r, self.n_asus - len(self._dead))
-        ranked = self.placement.replicas(shard_key, self.n_asus)
-        out = [d for d in ranked if d not in self._dead]
-        return out[: max(1, want)]
-
-    def register_emit(self, src_host, bucket, run, rid=None, targets=None):
+    def register_emit(self, src_host, bucket, run, rid=None):
         """Create the set for a freshly emitted run; returns (key, targets).
 
-        Call in the same yield-free region as the posts.  ``targets``
-        computed earlier (before a CPU charge) are re-validated against the
-        current dead set and re-planned if every one of them died meanwhile.
+        Call in the same yield-free region as the posts: the targets are
+        planned against the dead set of that instant.
         """
         key = (0, src_host, self._seq)
-        shard_key = (src_host << 24) | self._seq
+        want = min(self.config.r, self.n_asus - len(self._dead))
+        targets = list(
+            islice(self._candidates((src_host << 24) | self._seq), max(1, want))
+        )
         self._seq += 1
-        if targets is None:
-            targets = self.plan_targets(shard_key)
-        else:
-            targets = [d for d in targets if d not in self._dead]
-            if not targets:
-                targets = self.plan_targets(shard_key)
         st = ReplicaSet(key, src_host, bucket, run, rid, targets)
         self.sets[key] = st
-        self._refresh_under_gauge()
         return key, list(targets)
 
     def adopt_restored(self, rid, src_host, bucket, run, dest) -> None:
@@ -248,7 +233,6 @@ class ReplicationManager:
         st.journal_dest = dest
         self.sets[key] = st
         self._gv_copies.add(dest, 1.0)
-        self._refresh_under_gauge()
 
     def copy_durable(self, key, dest) -> tuple[int, bool]:
         """A replica write became durable at ``dest``.
@@ -265,11 +249,7 @@ class ReplicationManager:
         fail-stop model could afford.
         """
         if self.view is not None:
-            try:
-                self.view.validate(f"asu{dest}", op="replica write")
-            except StaleEpochError:
-                self.n_fenced_writes += 1
-                raise
+            self.view.validate(f"asu{dest}", op="replica write")
         st = self.sets.get(key)
         if st is None or dest in self._dead:
             return 0, False
@@ -287,7 +267,6 @@ class ReplicationManager:
             st.journal_dest = dest
             if self.manifest is not None:
                 self.manifest.log_run_durable(st.rid, dest, st.run)
-        self._refresh_under_gauge()
         return delta, True
 
     # -- failure paths (simulator callbacks; no yields) -----------------------
@@ -327,7 +306,6 @@ class ReplicationManager:
             if was_counted and st.counted:
                 promoted += 1
             if was_counted and not st.counted and not st.copies:
-                self.n_lost_runs += 1
                 self._c_lost.inc()
             if not st.copies and not st.targets:
                 # Stranded: nothing durable, nothing in flight — the source
@@ -351,7 +329,6 @@ class ReplicationManager:
                     f"promote {promoted} run(s) off asu{d} in place",
                     cat="fault",
                 )
-        self._refresh_under_gauge()
         return delta
 
     def lose_copies_on(self, d: int, now: float = 0.0) -> int:
@@ -383,7 +360,6 @@ class ReplicationManager:
                 now, "replica", f"lose {dropped} cop(ies) on asu{d}",
                 cat="fault",
             )
-        self._refresh_under_gauge()
         return delta
 
     def on_asu_readmit(self, d: int) -> None:
@@ -395,7 +371,6 @@ class ReplicationManager:
         digest, and anything that doesn't verify stays discarded.
         """
         self._dead.discard(d)
-        self._refresh_under_gauge()
 
     def readopt_copy(self, key, d: int, digest: str) -> tuple[int, bool]:
         """Offer a copy a returning ASU kept through its expulsion.
@@ -420,9 +395,7 @@ class ReplicationManager:
         st.targets.discard(d)
         st.copies.add(d)
         self._gv_copies.add(d, 1.0)
-        self.n_readopted_copies += 1
         delta = self._recount(st)
-        self._refresh_under_gauge()
         return delta, True
 
     def on_host_crash(self, h: int) -> int:
@@ -451,7 +424,6 @@ class ReplicationManager:
         self.pending_reemits.pop(h, None)
         if any_run and self.manifest is not None:
             self.manifest.log_purge_host(h)
-        self._refresh_under_gauge()
         return delta
 
     def retarget(self, key) -> list[int]:
@@ -463,11 +435,7 @@ class ReplicationManager:
         missing = max(0, want - len(st.copies | st.targets))
         if not missing:
             return []
-        fresh = [
-            d
-            for d in self.placement.replicas(_shard_key(key), self.n_asus)
-            if d not in self._dead and d not in st.copies and d not in st.targets
-        ][:missing]
+        fresh = list(islice(self._candidates(_shard_key(key), st), missing))
         st.targets.update(fresh)
         self.n_retargeted_copies += len(fresh)
         self._c_retargeted.inc(len(fresh))
@@ -482,11 +450,7 @@ class ReplicationManager:
         st = self.sets.get(key)
         if st is None:
             return None
-        for d in self.placement.replicas(_shard_key(key), self.n_asus):
-            if d in self._dead or d in st.copies or d in st.targets:
-                continue
-            return d
-        return None
+        return next(self._candidates(_shard_key(key), st), None)
 
     def pick_read_copy(self, st: ReplicaSet) -> Optional[int]:
         """Least-loaded alive copy holder by the read-bytes gauge vector."""

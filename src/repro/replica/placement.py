@@ -27,6 +27,8 @@ properties per rank.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 __all__ = ["ReplicaPlacement", "SEGMENT"]
@@ -81,23 +83,29 @@ class ReplicaPlacement:
         )
         return h % self._space
 
-    def replicas(self, shard: int, r: int) -> tuple[int, ...]:
-        """Ordered replica set of ``min(r, n_asus)`` distinct ASU indices."""
-        if r < 1:
-            raise ValueError(f"need r >= 1, got {r}")
-        r = min(r, self.n_asus)
+    def ranked(self, shard: int):
+        """Lazily rank the whole fleet for ``shard``: yields every ASU index
+        exactly once, in replica-rank order, drawing only as far as the
+        caller consumes (the walk to the *last* ranks is a coupon-collector
+        problem over the rejection sampler — callers want the first few)."""
         limit = self.n_asus * SEGMENT
-        chosen: list[int] = []
+        chosen: set[int] = set()
         k = 0
-        while len(chosen) < r:
+        while len(chosen) < self.n_asus:
             x = self._draw(shard, k)
             k += 1
             if x >= limit:
                 continue
             d = x // SEGMENT
             if d not in chosen:
-                chosen.append(d)
-        return tuple(chosen)
+                chosen.add(d)
+                yield d
+
+    def replicas(self, shard: int, r: int) -> tuple[int, ...]:
+        """Ordered replica set of ``min(r, n_asus)`` distinct ASU indices."""
+        if r < 1:
+            raise ValueError(f"need r >= 1, got {r}")
+        return tuple(islice(self.ranked(shard), r))
 
     def primary(self, shard: int) -> int:
         return self.replicas(shard, 1)[0]

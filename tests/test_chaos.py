@@ -31,9 +31,13 @@ class TestTransportValidation:
         with pytest.raises(ValueError, match="transport must be"):
             self._job(transport="carrier-pigeon")
 
-    def test_reliable_requires_a_fault_plan(self):
-        with pytest.raises(ValueError, match="an empty one is fine"):
-            self._job(transport="reliable")
+    def test_reliable_without_a_plan_is_the_empty_plan(self):
+        derived = self._job(transport="reliable")
+        explicit = self._job(transport="reliable", faults=FaultPlan())
+        assert derived.faults is not None and not derived.faults.kinds()
+        a, b = vars(derived.run_pass1()), vars(explicit.run_pass1())
+        a.pop("fault_report"), b.pop("fault_report")
+        assert a == b
 
     def test_lossy_plan_requires_reliable_transport(self):
         plan = FaultPlan([drop_msg(0.1, 0, 1, 0.05)])

@@ -260,3 +260,162 @@ class TestPayloadIntegrity:
         assert np.array_equal(out["key"].astype("<u4"), keys[out_serials])
         # And every serial appears exactly once.
         assert np.array_equal(np.sort(out_serials), serials)
+
+
+# --------------------------------------------------------------------------
+# Differential oracle: the bare pass-1 engine is the reference the
+# fault-tolerant engine is tested against (DESIGN.md, "Two termination
+# protocols").  With an empty FaultPlan the FT engine must form the same
+# runs on the same ASUs; the only sanctioned differences are the host->ASU
+# EOF messages (bare hosts send them, FT hosts do not — FT completion is a
+# durable-record count) and the few EOF charges of skew they cause.
+def _differential_cells():
+    import random
+
+    rnd = random.Random(16)
+    cells = []
+    for _ in range(30):
+        cells.append((
+            1 << rnd.choice([11, 12, 13]),
+            rnd.choice([4, 8, 16, 64]),
+            rnd.choice([2, 4, 8, 16]),
+            rnd.choice([1, 2, 3]),
+            rnd.choice(["static", "sr", "jsq", "weighted", "round_robin", "rc"]),
+            rnd.choice([
+                "uniform", "half_uniform_half_exponential", "exponential",
+                "zipf", "gaussian",
+            ]),
+            rnd.randrange(100),
+        ))
+    return cells
+
+
+class TestBareVsEmptyPlanFT:
+    @pytest.mark.parametrize(
+        "n,alpha,D,H,policy,workload,seed", _differential_cells()
+    )
+    def test_same_runs_modulo_eof_protocol(self, n, alpha, D, H, policy, workload, seed):
+        from repro.faults import FaultPlan
+
+        params = fig_params(n_asus=D, n_hosts=H)
+        cfg = DSMConfig.for_n(n, alpha=alpha, gamma=16)
+        kw = dict(policy=policy, workload=workload, seed=seed)
+        bare = DsmSortJob(params, cfg, **kw)
+        rb = bare.run_pass1()
+        ft = DsmSortJob(params, cfg, faults=FaultPlan(), **kw)
+        rf = ft.run_pass1()
+
+        def keyed(job):
+            return [[(b, run.tobytes()) for b, run in runs] for runs in job.runs_on_asu]
+
+        kb, kf = keyed(bare), keyed(ft)
+        if H > D:
+            # Hosts h and h + D start their stripe on the same ASU, so their
+            # flush-phase runs reach one consumer within the EOF skew and may
+            # swap arrival order: same runs on the same ASUs, as multisets.
+            assert [sorted(x) for x in kb] == [sorted(x) for x in kf]
+            assert abs(rb.makespan - rf.makespan) < 1e-3 * rb.makespan
+        else:
+            assert kb == kf
+            # EOF-count vs durable-count termination: at most one ASU-side
+            # EOF charge per (ASU, host) pair, in either direction.
+            eof_charge = 16 * params.cycles_per_net_byte / params.asu_clock_hz
+            assert abs(rb.makespan - rf.makespan) <= D * H * eof_charge * (1 + 1e-9)
+        assert rb.n_runs == rf.n_runs
+        assert rb.imbalance == rf.imbalance
+        assert rb.net_bytes - rf.net_bytes == 16 * D * H
+        assert rf.completed and rf.n_durable == (n // D) * D
+        assert rb.n_durable == -1 and rb.fault_report is None
+        assert (
+            rf.n_replayed_frags, rf.n_reemitted_runs, rf.n_takeover_blocks,
+            rf.n_promoted_runs, rf.n_repaired_copies, rf.n_epoch_rejections,
+        ) == (0, 0, 0, 0, 0, 0)
+
+
+# --------------------------------------------------------------------------
+# The mode matrix: MODE_RULES is the constructor's validator and this test's
+# input.  Every combination of the five optional layers either sorts and
+# verifies, or is rejected by exactly one named rule.
+def _mode_matrix():
+    import itertools
+
+    return list(itertools.product(
+        ("direct", "reliable"), ("timer", "network"), (False, True),
+        (False, True), (False, True),
+    ))
+
+
+class TestModeMatrix:
+    N = 1 << 12
+
+    def _kwargs(self, transport, detection, replicated, speculative, journaled):
+        from repro.recovery.manifest import RunManifest
+        from repro.recovery.speculate import SpeculationPolicy
+        from repro.replica import ReplicationConfig
+
+        kw = dict(transport=transport, detection_mode=detection)
+        if replicated:
+            kw["replication"] = ReplicationConfig(r=2)
+        if speculative:
+            kw["speculation"] = SpeculationPolicy(interval=0.004, warmup=0.01, seed=0)
+        if journaled:
+            kw["manifest"] = RunManifest()
+        return kw
+
+    @pytest.mark.parametrize(
+        "transport,detection,replicated,speculative,journaled", _mode_matrix()
+    )
+    def test_every_combination_sorts_or_names_its_rule(
+        self, transport, detection, replicated, speculative, journaled
+    ):
+        from types import SimpleNamespace
+
+        from repro.dsmsort.runtime import MODE_RULES
+        from repro.faults import FaultPlan
+
+        params = fig_params(n_asus=4, n_hosts=2)
+        cfg = DSMConfig.for_n(self.N, alpha=8, gamma=16)
+        kw = self._kwargs(transport, detection, replicated, speculative, journaled)
+        layered = transport == "reliable" or detection == "network" or len(kw) > 2
+        m = SimpleNamespace(
+            params=params, active=True, background_asu_duty=0.0,
+            faults=FaultPlan() if layered else None,
+            transport=transport, detection_mode=detection,
+            replication=kw.get("replication"), speculation=kw.get("speculation"),
+        )
+        hits = [(name, msg) for name, rejects, msg in MODE_RULES if rejects(m)]
+        if hits:
+            assert [name for name, _ in hits] == ["network-excludes-speculation"]
+            with pytest.raises(ValueError) as err:
+                DsmSortJob(params, cfg, policy="sr", seed=3, **kw)
+            assert str(err.value) == hits[0][1].format(m=m, hit=True)
+            return
+        job = DsmSortJob(
+            params, cfg, policy="sr", seed=3,
+            heartbeat_interval=0.002, heartbeat_timeout=0.008, **kw
+        )
+        assert (job.faults is not None) == layered
+        r1 = job.run_pass1()
+        assert r1.completed
+        job.run_pass2()
+        job.verify()
+
+    @pytest.mark.parametrize("bad,rule", [
+        (dict(background_asu_duty=1.0), "duty-range"),
+        (dict(active=False, transport="reliable"), "ft-needs-active"),
+        (dict(transport="carrier-pigeon"), "transport-name"),
+        (dict(detection_mode="psychic"), "detection-name"),
+    ])
+    def test_value_rules_reject_by_name(self, bad, rule):
+        from repro.dsmsort.runtime import MODE_RULES
+
+        message = next(msg for name, _rejects, msg in MODE_RULES if name == rule)
+        with pytest.raises(ValueError) as err:
+            make_job(n=self.N, **bad)
+        assert str(err.value).startswith(message.split("{")[0])
+
+    def test_rule_names_are_unique(self):
+        from repro.dsmsort.runtime import MODE_RULES
+
+        names = [name for name, _rejects, _msg in MODE_RULES]
+        assert len(names) == len(set(names)) == 8

@@ -305,13 +305,18 @@ class TestSpeculation:
         assert r1.n_hedged_shards == 0
         assert np.array_equal(out_ref, job.collected_output())
 
-    def test_speculation_requires_fault_tolerant_path(self):
+    def test_speculation_without_a_plan_is_the_empty_plan(self):
         params, cfg = small_params(), small_config()
-        with pytest.raises(ValueError, match="fault-tolerant path"):
-            DsmSortJob(
-                params, cfg, policy="sr", seed=0,
-                speculation=SpeculationPolicy(),
-            )
+        policy = SpeculationPolicy(interval=0.004, warmup=0.01, seed=0)
+        derived = DsmSortJob(params, cfg, policy="sr", seed=0, speculation=policy)
+        explicit = DsmSortJob(
+            params, cfg, policy="sr", seed=0, faults=FaultPlan(),
+            speculation=policy,
+        )
+        assert derived.faults is not None and not derived.faults.kinds()
+        a, b = vars(derived.run_pass1()), vars(explicit.run_pass1())
+        a.pop("fault_report"), b.pop("fault_report")
+        assert a == b
 
 
 # -------------------------------------------- executor straggler steering

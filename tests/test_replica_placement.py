@@ -44,6 +44,29 @@ class TestDraws:
             assert p.replicas(s, 1) == reps[:1]
             assert p.replicas(s, 2) == reps[:2]
 
+    @pytest.mark.parametrize("n,capacity,seed", [(1, 4, 0), (5, 16, 3), (16, 1024, 0)])
+    def test_ranked_is_the_lazy_form_of_replicas(self, n, capacity, seed):
+        from itertools import islice
+
+        p = ReplicaPlacement(n, capacity=capacity, seed=seed)
+
+        def eager(shard, r):
+            """The pre-``ranked`` algorithm: walk the draws until r are chosen."""
+            chosen, k = [], 0
+            while len(chosen) < min(r, n):
+                x = p._draw(shard, k)
+                k += 1
+                if x < n * SEGMENT and x // SEGMENT not in chosen:
+                    chosen.append(x // SEGMENT)
+            return tuple(chosen)
+
+        for shard in (0, 1, 7, (3 << 24) | 9, (1 << 48) | 5):
+            full = list(p.ranked(shard))  # terminates after exactly n ASUs
+            assert sorted(full) == list(range(n))
+            for r in range(1, n + 1):
+                assert tuple(islice(p.ranked(shard), r)) == p.replicas(shard, r)
+                assert p.replicas(shard, r) == eager(shard, r) == tuple(full[:r])
+
     def test_r_clamped_to_fleet(self):
         p = ReplicaPlacement(3)
         assert len(p.replicas(0, 5)) == 3

@@ -70,12 +70,18 @@ class TestConfig:
             ReplicationConfig(repair_bandwidth=-1.0)
 
     def test_job_gates(self):
-        with pytest.raises(ValueError, match="fault-tolerant path"):
-            make_job(None, ReplicationConfig(r=2))
         with pytest.raises(ValueError, match="exceeds the fleet"):
             make_job(FaultPlan([]), ReplicationConfig(r=5))
         with pytest.raises(ValueError, match="no\\s+replication layer"):
             make_job(FaultPlan([lose_replica(0.01, 0)]), None)
+
+    def test_replication_without_a_plan_is_the_empty_plan(self):
+        derived = make_job(None, ReplicationConfig(r=2))
+        explicit = make_job(FaultPlan([]), ReplicationConfig(r=2))
+        assert derived.faults is not None and not derived.faults.kinds()
+        a, b = vars(derived.run_pass1()), vars(explicit.run_pass1())
+        a.pop("fault_report"), b.pop("fault_report")
+        assert a == b
 
     def test_replication_off_is_bitwise_legacy(self):
         """replication=None perturbs nothing on the FT path."""
@@ -176,7 +182,7 @@ class TestMediaLossRepair:
         plan = FaultPlan([crash_asu(0.8 * t0, 1)])
         job, r1, _out = sort_once(plan, cfg)
         assert r1.n_repaired_copies > 0
-        mgr = job._replica_mgr
+        mgr = job._runs.mgr
         # Every repaired set's copies avoid the dead ASU.
         for st in mgr.sets.values():
             assert 1 not in st.copies
@@ -189,7 +195,8 @@ class TestMediaLossRepair:
         run = np.zeros(10, dtype=np.int64)
         key, targets = mgr.register_emit(0, 0, run)
         assert len(targets) == 2
-        assert mgr._g_under.value == 0.0  # targets in flight count as planned
+        under = reg.gauge("repro_replica_underreplicated")
+        assert under.sample(0.0) == 0.0  # targets in flight count as planned
         delta, fresh = mgr.copy_durable(key, targets[0])
         assert fresh and delta == 0  # policy "all" needs both copies
         delta, fresh = mgr.copy_durable(key, targets[1])
@@ -198,7 +205,7 @@ class TestMediaLossRepair:
         # Crash one holder: promotion (still counted), now under-replicated.
         assert mgr.on_asu_crash(targets[0]) == 0
         assert mgr.n_promoted_runs == 1
-        assert mgr._g_under.value == 1.0
+        assert under.sample(1.0) == 1.0
 
 
 class TestCheckpointIntegration:
