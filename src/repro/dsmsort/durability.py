@@ -190,9 +190,9 @@ class StripedRuns(RunDurability):
         self._store(d, bucket, run, src_h)
         if job.manifest is not None and len(msg.payload) > 3:
             job.manifest.log_run_durable(msg.payload[3], d, run)
-        job._trace_records(
-            asu.sim, f"asu{d}.write", run.shape[0], dt=asu.sim.now - t0
-        )
+        sim = asu.sim
+        if sim.tracer is not None or sim.metrics is not None:
+            job._trace_records(sim, f"asu{d}.write", run.shape[0], dt=sim.now - t0)
         return run.shape[0]
 
     def asu_lost(self, node) -> int:

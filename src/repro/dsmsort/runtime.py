@@ -488,7 +488,9 @@ class DsmSortJob:
         )
 
     def _trace_records(self, sim, track: str, n: int, dt: Optional[float] = None) -> None:
-        """Per-stage record observation (no-op when untraced and unmetered).
+        """Per-stage record observation (no-op when untraced and unmetered;
+        the pass-1 call sites test ``sim.tracer`` / ``sim.metrics`` first, so
+        a bare run never enters here nor formats ``track``).
 
         ``track`` is ``<node>.<stage>``; ``n`` records just finished the
         stage.  Tracing accumulates the ``records`` counter; metering marks
@@ -518,6 +520,7 @@ class DsmSortJob:
     def _asu_producer(self, plat: ActivePlatform, d: int, blk: int, rs: int):
         from ..emulator.readahead import ReadAhead
 
+        sim = plat.sim
         asu = plat.asus[d]
         data = self.asu_data[d]
         H = self.params.n_hosts
@@ -533,7 +536,7 @@ class DsmSortJob:
             yield ra.wait_next()
             if self.active:
                 # Buffer-staging CPU cost of the read, then the distribute.
-                t0 = plat.sim.now
+                t0 = sim.now
                 staging = staging_cycles[i]
                 if staging:
                     yield from asu.cpu.execute(cycles=staging)
@@ -542,10 +545,10 @@ class DsmSortJob:
                     fn=self.dist.apply,
                     args=(block,),
                 )
-                self._trace_records(
-                    plat.sim, f"asu{d}.distribute", block.shape[0],
-                    dt=plat.sim.now - t0,
-                )
+                if sim.tracer is not None or sim.metrics is not None:
+                    self._trace_records(
+                        sim, f"asu{d}.distribute", block.shape[0], dt=sim.now - t0
+                    )
                 # Route each bucket fragment; group fragments by destination
                 # host so each (block, host) pair is one message.
                 per_host: dict[int, list[tuple[int, np.ndarray]]] = defaultdict(list)
@@ -628,16 +631,16 @@ class DsmSortJob:
 
     def _emit_run(self, plat, host, h, bucket, batch, next_asu, rs, sort_cpr):
         """Really sort one run on the host CPU and stripe it to an ASU."""
-        t0 = plat.sim.now
+        sim = plat.sim
+        t0 = sim.now
         run = yield from host.compute(
             cycles=batch.shape[0] * sort_cpr,
             fn=sort_records,
             args=(batch,),
         )
         self.load_manager.complete(h, batch.shape[0])
-        self._trace_records(
-            plat.sim, f"host{h}.sort", batch.shape[0], dt=plat.sim.now - t0
-        )
+        if sim.tracer is not None or sim.metrics is not None:
+            self._trace_records(sim, f"host{h}.sort", batch.shape[0], dt=sim.now - t0)
         d = next_asu % self.params.n_asus
         # Host pays the NIC copy in both modes; wire time is off the CPU.
         yield from host.send_async(
@@ -646,6 +649,7 @@ class DsmSortJob:
         return next_asu + 1
 
     def _asu_consumer(self, plat: ActivePlatform, d: int, rs: int):
+        sim = plat.sim
         asu = plat.asus[d]
         H = self.params.n_hosts
         n_eof = 0
@@ -659,15 +663,16 @@ class DsmSortJob:
                 n_eof += 1
                 continue
             nbytes = payload.shape[0] * rs
-            t0 = plat.sim.now
+            t0 = sim.now
             if self.active:
                 yield from asu.disk_write(nbytes)
             else:
                 yield from asu.disk.write(nbytes)
             self.runs_on_asu[d].append((bucket, payload))
-            self._trace_records(
-                plat.sim, f"asu{d}.write", payload.shape[0], dt=plat.sim.now - t0
-            )
+            if sim.tracer is not None or sim.metrics is not None:
+                self._trace_records(
+                    sim, f"asu{d}.write", payload.shape[0], dt=sim.now - t0
+                )
         yield from asu.disk.drain()
 
     # ------------------------------------------------------------ pass 1 (FT)
@@ -982,10 +987,11 @@ class DsmSortJob:
                 fn=self.dist.apply,
                 args=(block,),
             )
-            self._trace_records(
-                plat.sim, f"asu{owner}.distribute", block.shape[0],
-                dt=plat.sim.now - t0,
-            )
+            sim = plat.sim
+            if sim.tracer is not None or sim.metrics is not None:
+                self._trace_records(
+                    sim, f"asu{owner}.distribute", block.shape[0], dt=sim.now - t0
+                )
             if takeover:
                 self._n_takeover_blocks += 1
             per_host: dict[int, list[tuple[int, np.ndarray]]] = defaultdict(list)
@@ -1215,9 +1221,9 @@ class DsmSortJob:
             args=(batch,),
         )
         self.load_manager.complete(h, batch.shape[0])
-        self._trace_records(
-            plat.sim, f"host{h}.sort", batch.shape[0], dt=plat.sim.now - t0
-        )
+        sim = plat.sim
+        if sim.tracer is not None or sim.metrics is not None:
+            self._trace_records(sim, f"host{h}.sort", batch.shape[0], dt=sim.now - t0)
         yield from self._runs.emit(host, h, bucket, run, fkeys)
 
     def _register_run(self, h: int, bucket: int, fkeys):

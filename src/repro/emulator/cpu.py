@@ -135,7 +135,7 @@ class Cpu:
                     charge = wall * self.params.measured_reference_hz
                 else:
                     result = fn(*args)
-            dt = float(charge) / (self.clock_hz * self.speed_factor)
+            dt = charge / (self.clock_hz * self.speed_factor)  # charge: a float
             self.cycles_charged += charge
             self.n_segments += 1
             if self._m_cycles is not None:

@@ -120,7 +120,7 @@ class Disk:
     def _enqueue(self, nbytes: int, op: str) -> tuple[float, float]:
         """Reserve timeline for a transfer; returns (start, finish)."""
         start = max(self.sim.now, self._free_at)
-        finish = start + self.transfer_time(nbytes)
+        finish = start + float(nbytes) / self.rate  # transfer_time(), inline
         self._free_at = finish
         # Record the busy span at enqueue time: timeline starts are monotone
         # (and add_interval tolerates overlap regardless).  The span is
@@ -131,6 +131,8 @@ class Disk:
         return start, finish
 
     def _trace_bytes(self) -> None:
+        """Sample cumulative bytes into the tracer (callers test
+        ``sim.tracer`` first, so an untraced run never enters here)."""
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.counter(
@@ -171,10 +173,11 @@ class Disk:
         self._check_fault()
         self.stats.n_reads += 1
         self.stats.bytes_read += int(nbytes)
-        self._trace_bytes()
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._trace_bytes()
         if self._m_read is not None:
             self._m_read.inc(float(nbytes))
-        tracer = self.sim.tracer
         if tracer is not None:
             # Causal issue edge: the caller's CPU activity gates this
             # transfer's place in the disk timeline.
@@ -201,10 +204,11 @@ class Disk:
             raise ValueError("negative write size")
         self.stats.n_writes += 1
         self.stats.bytes_written += int(nbytes)
-        self._trace_bytes()
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._trace_bytes()
         if self._m_write is not None:
             self._m_write.inc(float(nbytes))
-        tracer = self.sim.tracer
         if tracer is not None:
             tracer.flow(self.sim.now, self._cpu_track, self.sim.now,
                         self.name, "write", cat="queue")

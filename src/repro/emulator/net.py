@@ -207,7 +207,9 @@ class Network:
             bp_done, _ = self._backplane.reserve(nbytes)
             tx_done = max(tx_done, bp_done)
             deliver_at = max(deliver_at, bp_done + self.latency)
-        return tx_done, self._defer_for_downtime(src, dst, deliver_at)
+        if self._downtimes:
+            deliver_at = self._defer_for_downtime(src, dst, deliver_at)
+        return tx_done, deliver_at
 
     # -- fault support --------------------------------------------------------
     def fail_node(self, node_id: Hashable) -> None:
@@ -336,7 +338,8 @@ class Network:
         if self._partitions and self._partition_blocks(msg.src, msg.dst):
             self._note_partition_drop(msg)
             return  # lost to the cut: the reservation is spent, nothing arrives
-        spans = self._msg_faults.get(frozenset((msg.src, msg.dst)))
+        faults = self._msg_faults
+        spans = faults.get(frozenset((msg.src, msg.dst))) if faults else None
         if spans:
             now = self.sim.now
             duplicate = False

@@ -61,7 +61,10 @@ class Node:
         self.cpu.halt()
 
     def _trace_net(self, name: str, nbytes: int) -> None:
-        """Accumulate per-node traffic counters onto the ``<id>.net`` track."""
+        """Accumulate per-node traffic counters onto the ``<id>.net`` track.
+
+        Callers test ``sim.tracer`` / ``sim.metrics`` first, so a bare run
+        never enters here."""
         tracer = self.sim.tracer
         if tracer is not None and nbytes:
             tracer.count(self.sim.now, f"{self.node_id}.net", name, float(nbytes))
@@ -78,7 +81,9 @@ class Node:
         if overhead:
             yield from self.cpu.execute(cycles=overhead)
         msg = yield from self.network.send(self.node_id, dst_id, payload, nbytes, tag)
-        self._trace_net("bytes_out", nbytes)
+        sim = self.sim
+        if sim.tracer is not None or sim.metrics is not None:
+            self._trace_net("bytes_out", nbytes)
         return msg
 
     def send_async(self, dst: "Node | str", payload, nbytes: int, tag: str = ""):
@@ -92,13 +97,16 @@ class Node:
         overhead = nbytes * self.params.cycles_per_net_byte
         if overhead:
             yield from self.cpu.execute(cycles=overhead)
-        self._trace_net("bytes_out", nbytes)
+        sim = self.sim
+        if sim.tracer is not None or sim.metrics is not None:
+            self._trace_net("bytes_out", nbytes)
         return self.network.post(self.node_id, dst_id, payload, nbytes, tag)
 
     def recv(self):
         """Process generator: receive the next message, charging copy cost."""
         msg = yield self.mailbox.get()
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         if tracer is not None:
             deliver_at = getattr(msg, "deliver_at", None)
             if deliver_at is not None:
@@ -107,22 +115,21 @@ class Node:
                 # critical-path profiler attributes to the mailbox.
                 tracer.flow(
                     deliver_at, f"mbox:{self.node_id}",
-                    self.sim.now, f"{self.node_id}.cpu",
+                    sim.now, f"{self.node_id}.cpu",
                     getattr(msg, "tag", "") or "recv", cat="queue",
                 )
         overhead = msg.nbytes * self.params.cycles_per_net_byte
         if overhead:
             yield from self.cpu.execute(cycles=overhead)
-        self._trace_net("bytes_in", msg.nbytes)
+        if sim.tracer is not None or sim.metrics is not None:
+            self._trace_net("bytes_in", msg.nbytes)
         return msg
 
     def compute(self, cycles: Optional[float] = None, fn=None, args=(),
                 label: Optional[str] = None):
         """Process generator: run an execution segment on this node's CPU."""
-        result = yield from self.cpu.execute(
-            cycles=cycles, fn=fn, args=args, label=label
-        )
-        return result
+        # The CPU's own generator, not a frame that re-yields it.
+        return self.cpu.execute(cycles=cycles, fn=fn, args=args, label=label)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.node_id}>"

@@ -126,9 +126,11 @@ class ReplicatedRuns(RunDurability):
             # Manifest-restored sets keep the -1 tag: a new crash of their
             # lineage host must not discard the physical copies.
             self._store(d, bucket, run, -1 if key[0] == 1 else st.src_host)
-            self.job._trace_records(
-                asu.sim, f"asu{d}.write", run.shape[0], dt=asu.sim.now - t0
-            )
+            sim = asu.sim
+            if sim.tracer is not None or sim.metrics is not None:
+                self.job._trace_records(
+                    sim, f"asu{d}.write", run.shape[0], dt=sim.now - t0
+                )
         return delta
 
     def asu_lost(self, node) -> int:

@@ -122,11 +122,15 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = ""):
-        if delay < 0:
-            raise SimError(f"negative timeout delay {delay}")
-        super().__init__(sim, name)
-        self._ok = True
+        if not delay >= 0:  # negated so that NaN is rejected too
+            raise SimError(f"timeout delay must be >= 0, got {delay}")
+        # One Timeout per CPU segment: the slots are filled here rather than
+        # through Event.__init__ and then overwritten.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self.name = name
         sim._post(self, delay=delay)
 
 
@@ -246,6 +250,8 @@ class Simulator:
 
     def schedule_callback(self, fn: Callable[[], None], delay: float = 0.0) -> Event:
         """Run ``fn`` at ``now + delay`` as a bare scheduled call."""
+        if not delay >= 0:  # a past (or NaN) instant would corrupt the queue
+            raise SimError(f"callback delay must be >= 0, got {delay}")
         ev = Event(self)
         ev.callbacks.append(lambda _ev: fn())
         ev._ok = True

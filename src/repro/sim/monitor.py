@@ -32,6 +32,8 @@ class BusyTracker:
         self._busy_label: str | None = None
 
     def _trace(self, start: float, end: float, label: str | None = None) -> None:
+        """Emit the interval as a span.  Callers test ``sim.tracer`` first, so
+        an untraced run never enters here (DESIGN.md §4, decision 7)."""
         tracer = self.sim.tracer
         if tracer is not None and end > start:
             tracer.span(
@@ -48,12 +50,14 @@ class BusyTracker:
         self._busy_label = label
 
     def end(self) -> None:
-        if self._busy_since is None:
-            raise RuntimeError(f"{self.name}: end() while not busy")
         start = self._busy_since
-        self.intervals.add(start, self.sim.now)
+        if start is None:
+            raise RuntimeError(f"{self.name}: end() while not busy")
+        sim = self.sim
+        self.intervals.add(start, sim.now)
         self._busy_since = None
-        self._trace(start, self.sim.now, self._busy_label)
+        if sim.tracer is not None:
+            self._trace(start, sim.now, self._busy_label)
         self._busy_label = None
 
     def add_span(self, duration: float, label: str | None = None) -> None:
@@ -67,13 +71,15 @@ class BusyTracker:
         end = self.sim.now
         start = max(0.0, end - duration)
         self.intervals.insert(start, end)
-        self._trace(start, end, label)
+        if self.sim.tracer is not None:
+            self._trace(start, end, label)
 
     def add_interval(self, start: float, end: float, label: str | None = None) -> None:
         """Record an explicit [start, end) busy interval (timeline devices
         reserve service time ahead of the clock, e.g. disk write-behind)."""
         self.intervals.insert(start, end)
-        self._trace(start, end, label)
+        if self.sim.tracer is not None:
+            self._trace(start, end, label)
 
     def end_if_busy(self) -> None:
         """Close an open busy interval if one exists.

@@ -6,6 +6,7 @@ Requests are granted strictly in request order, preserving determinism.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from .core import Event, Simulator
@@ -40,6 +41,14 @@ class ResourceRequest(Event):
         self.resource.release(self)
 
 
+def _processed(req: ResourceRequest) -> ResourceRequest:
+    """Mark ``req`` granted and processed without a trip through the queue."""
+    req._ok = True
+    req._value = None
+    req.callbacks = None
+    return req
+
+
 class Resource:
     """``capacity`` concurrent holders; extra requests queue FIFO."""
 
@@ -51,6 +60,14 @@ class Resource:
         self.name = name
         self.users: list[ResourceRequest] = []
         self.queue: deque[ResourceRequest] = deque()
+        #: the one pre-processed grant :meth:`request_now` hands out at the
+        #: batch tail of a free capacity-1 resource (never queued or posted);
+        #: None when ``capacity > 1``.  Its back-reference is weak: a strong
+        #: one would make every resource a reference cycle and leave its
+        #: simulator to the cyclic collector.
+        self._tail_grant = (
+            _processed(ResourceRequest(weakref.proxy(self))) if capacity == 1 else None
+        )
 
     @property
     def count(self) -> int:
@@ -78,19 +95,25 @@ class Resource:
         None``) and the caller proceeds synchronously — schedules are
         byte-identical by construction, one queue round-trip cheaper.  In any
         other situation this is exactly :meth:`request`.
+
+        Nobody can wait on a processed grant, so on a capacity-1 resource it
+        needs no identity either: every such grant is the same shared object
+        (one CPU segment, one allocation fewer).  :meth:`release` still
+        rejects it unless it is the current holder.  With ``capacity > 1``
+        several tail grants can be held at once and must stay distinguishable,
+        so those keep one object per request.
         """
-        if len(self.users) < self.capacity:
+        users = self.users
+        if len(users) >= self.capacity:
             req = ResourceRequest(self)
-            self.users.append(req)
-            if self.sim.at_tail():
-                req._ok = True
-                req._value = None
-                req.callbacks = None
-            else:
-                req.succeed()
-            return req
-        req = ResourceRequest(self)
-        self.queue.append(req)
+            self.queue.append(req)
+        elif not self.sim.at_tail():
+            req = ResourceRequest(self)
+            users.append(req)
+            req.succeed()
+        else:
+            req = self._tail_grant or _processed(ResourceRequest(self))
+            users.append(req)
         return req
 
     def release(self, req: ResourceRequest) -> None:

@@ -72,7 +72,8 @@ class Store:
         return self.capacity is not None and len(self.items) >= self.capacity
 
     def _trace_depth(self) -> None:
-        """Sample the queue depth into the tracer (named stores only)."""
+        """Sample the queue depth into the tracer (named stores only; callers
+        test ``sim.tracer`` first, so an untraced run never enters here)."""
         tracer = self.sim.tracer
         if tracer is not None and self.name:
             tracer.counter(self.sim.now, self.name, "depth", float(len(self)))
@@ -102,7 +103,8 @@ class Store:
             ev = StorePut(self, item)
             self._putters.append(ev)
             self._settle()
-        self._trace_depth()
+        if self.sim.tracer is not None:
+            self._trace_depth()
         if self._m_depth is not None:
             self._m_depth.poke(float(len(self)))
         return ev
@@ -128,7 +130,8 @@ class Store:
             ev = StoreGet(self.sim)
             self._getters.append(ev)
             self._settle()
-        self._trace_depth()
+        if self.sim.tracer is not None:
+            self._trace_depth()
         return ev
 
     def try_get(self) -> Any:
@@ -181,7 +184,8 @@ class PriorityStore(Store):
         ev = StorePut(self, item)
         self._putters.append(ev)
         self._settle()
-        self._trace_depth()
+        if self.sim.tracer is not None:
+            self._trace_depth()
         if self._m_depth is not None:
             self._m_depth.poke(float(len(self)))
         return ev
@@ -190,7 +194,8 @@ class PriorityStore(Store):
         ev = StoreGet(self.sim)
         self._getters.append(ev)
         self._settle()
-        self._trace_depth()
+        if self.sim.tracer is not None:
+            self._trace_depth()
         return ev
 
     def __len__(self) -> int:

@@ -129,15 +129,19 @@ class IntervalAccumulator:
         )
 
     def add(self, start: float, end: float) -> None:
+        # One conversion each; every use below sees the same two doubles.
+        start = float(start)
+        end = float(end)
         if end < start:
             raise ValueError(f"interval end {end} before start {start}")
         starts = self._starts
         if starts and start < starts[-1]:
             raise ValueError("intervals must be added in start order")
-        starts.append(float(start))
-        self._ends.append(float(end))
-        prev = self._max_ends[-1] if self._max_ends else -math.inf
-        self._max_ends.append(max(prev, float(end)))
+        starts.append(start)
+        self._ends.append(end)
+        max_ends = self._max_ends
+        prev = max_ends[-1] if max_ends else -math.inf
+        max_ends.append(end if end > prev else prev)
         self.total_busy += end - start
 
     def insert(self, start: float, end: float) -> None:

@@ -10,6 +10,10 @@ from repro.bench import (
     run_figure9,
     run_figure10,
 )
+from repro.bench import fig9
+from repro.bench.fig9 import BASELINE_ALPHA, FIG9_ALPHAS, FIG9_ASU_COUNTS, FIG9_GAMMA
+from repro.core.config import ConfigSolver
+from repro.dsmsort.runtime import DsmSortJob
 from repro.emulator.net import Network
 from repro.sim import Simulator
 
@@ -60,6 +64,11 @@ class TestFigureHarness:
         )
         env = max(r.speedup["1"][0], r.speedup["16"][0])
         assert r.speedup["adaptive"][0] >= env - 0.25
+
+    def test_figure9_render_without_adaptive_has_no_dangling_line(self):
+        kw = dict(n_records=1 << 11, asu_counts=(2,), alphas=(1,))
+        assert "adaptive" not in run_figure9(include_adaptive=False, **kw).render()
+        assert "adaptive configuration chose: D=2: alpha=" in run_figure9(**kw).render()
 
     def test_figure10_tiny_run_structure(self):
         r = run_figure10(n_records=1 << 14)
@@ -129,6 +138,69 @@ class TestNetworkPost:
         net.register("a")
         with pytest.raises(KeyError):
             net.post("a", "ghost", None, 1)
+
+
+def _fig9_cells(n, asu_counts=FIG9_ASU_COUNTS, alphas=FIG9_ALPHAS):
+    """The grid's cells as the solver declares them: per ASU count the
+    baseline, one per α, and the adaptive pick — 7 ``(D, cfg, active)``."""
+    cells = []
+    for D in asu_counts:
+        solver = ConfigSolver(fig9_params(D), gamma=FIG9_GAMMA)
+        cells.append((D, solver.config_for_alpha(n, BASELINE_ALPHA), False))
+        cells += [(D, solver.config_for_alpha(n, a), True) for a in alphas]
+        cells.append((D, solver.choose(n), True))
+    return cells
+
+
+class TestFigure9DistinctCells:
+    """``run_figure9`` emulates each distinct cell of a call exactly once."""
+
+    N = 1 << 11
+    COUNTS = (2, 16)  # the adaptive pick is an α of the grid at D=2, not at D=16
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``DsmSortJob`` that ``repro.bench.fig9`` constructs."""
+        jobs = []
+
+        def counting(params, cfg, **kw):
+            jobs.append((params.n_asus, cfg, kw["active"]))
+            return DsmSortJob(params, cfg, **kw)
+
+        monkeypatch.setattr(fig9, "DsmSortJob", counting)
+        return jobs
+
+    def test_one_job_per_distinct_cell_and_none_kept_across_calls(self, built):
+        cells = _fig9_cells(self.N, self.COUNTS)
+        assert len(set(cells)) == 6 + 7 < len(cells) == 14
+        first = run_figure9(n_records=self.N, asu_counts=self.COUNTS)
+        assert sorted(built, key=repr) == sorted(set(cells), key=repr)
+        second = run_figure9(n_records=self.N, asu_counts=self.COUNTS)
+        assert len(built) == 2 * len(set(cells))  # the memo died with the call
+        assert second.speedup == first.speedup
+
+    def test_equals_the_unmemoised_seven_cell_loop_float_for_float(self):
+        got = run_figure9(n_records=self.N, asu_counts=self.COUNTS, seed=7)
+        makespans = [
+            DsmSortJob(fig9_params(D), cfg, policy="static", workload="uniform",
+                       active=active, seed=7).run_pass1().makespan
+            for D, cfg, active in _fig9_cells(self.N, self.COUNTS)
+        ]
+        names = [*map(str, FIG9_ALPHAS), "adaptive"]
+        for i in range(len(self.COUNTS)):
+            t_base, *ts = makespans[7 * i : 7 * i + 7]
+            assert got.baseline_makespan[i] == t_base
+            assert [got.speedup[k][i] for k in names] == [t_base / t for t in ts]
+
+    def test_default_grid_is_36_of_42_cells_at_the_ledger_size(self):
+        # Solver only, no emulation: at n = 2^16 every adaptive pick is an α
+        # of the grid (EXPERIMENTS.md, Figure 9) ...
+        cells = _fig9_cells(1 << 16)
+        assert (len(cells), len(set(cells))) == (42, 36)
+        assert [c[1].alpha for c in cells[6::7]] == [1, 1, 16, 256, 256, 256]
+        # ... and at n = 2^17, D = 8 solves to α = 32: a genuine seventh cell.
+        cells = _fig9_cells(1 << 17)
+        assert len(set(cells)) == 37 and cells[2 * 7 + 6][1].alpha == 32
 
 
 class TestCsvExport:

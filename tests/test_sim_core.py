@@ -52,6 +52,34 @@ class TestTimeout:
         with pytest.raises(SimError):
             sim.timeout(-1.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0, -0.5e-300])
+    def test_bad_delay_rejected_where_it_is_posted(self, sim, delay):
+        # NaN slipped past ``delay < 0`` and left a NaN key in the time heap;
+        # a negative callback delay surfaced later, far from its cause, as
+        # "time went backwards (corrupt event queue)".
+        sim.timeout(1.0)
+        with pytest.raises(SimError, match="delay"):
+            sim.timeout(delay)
+        with pytest.raises(SimError, match="delay"):
+            sim.schedule_callback(lambda: None, delay=delay)
+        sim.run()  # the queue was left intact
+        assert sim.now == 1.0 and sim.n_events_processed == 1
+
+    def test_zero_delay_still_accepted(self, sim):
+        ran = []
+        sim.schedule_callback(lambda: ran.append("cb"), delay=0.0)
+        sim.timeout(0).callbacks.append(lambda e: ran.append("timeout"))
+        sim.run()
+        assert ran == ["cb", "timeout"] and sim.now == 0.0
+
+    def test_timeout_is_a_fully_formed_event(self, sim):
+        # Timeout fills its slots itself instead of through Event.__init__.
+        ev = sim.timeout(2.0, value="v", name="t")
+        assert (ev.sim, ev.name, ev.value, ev.ok) == (sim, "t", "v", True)
+        assert ev.triggered and not ev.processed and ev.callbacks == []
+        sim.run()
+        assert ev.processed
+
     def test_run_until_stops_early(self, sim):
         sim.timeout(10.0)
         sim.run(until=3.0)

@@ -263,3 +263,139 @@ class TestResource:
 
         sim.process(proc())
         sim.run()
+
+
+class TestTailGrant:
+    """``request_now`` at the batch tail: a grant nobody can wait for.
+
+    A lone process runs as the last event of its instant, so its grants take
+    the tail path; on a capacity-1 resource they are all one shared object.
+    """
+
+    def test_capacity_one_tail_grants_share_one_object(self, sim):
+        res = Resource(sim, capacity=1)
+        seen = []
+
+        def proc():
+            for _ in range(3):
+                req = res.request_now()
+                assert req.processed and req.ok and req.value is None
+                assert res.count == 1
+                seen.append(req)
+                yield sim.timeout(1.0)
+                res.release(req)
+                assert res.count == 0
+
+        sim.process(proc())
+        sim.run()
+        assert seen[0] is seen[1] is seen[2]
+        # boot, three holds, process exit: a tail grant never visits the queue
+        assert sim.n_events_processed == 5
+
+    def test_double_release_of_shared_grant_rejected(self, sim):
+        res = Resource(sim, capacity=1)
+
+        def proc():
+            req = res.request_now()
+            assert req.processed
+            res.release(req)
+            with pytest.raises(SimError):
+                res.release(req)
+            yield sim.timeout(0.0)
+
+        sim.process(proc())
+        sim.run()
+
+    def test_release_of_never_granted_request_rejected(self, sim):
+        res, other = Resource(sim, capacity=1), Resource(sim, capacity=1)
+
+        def proc():
+            foreign = other.request_now()
+            with pytest.raises(SimError):
+                res.release(foreign)  # free resource: nothing to release
+            held = res.request_now()
+            with pytest.raises(SimError):
+                res.release(other.request())  # held, but not by that request
+            assert res.count == 1
+            res.release(held)
+            yield sim.timeout(0.0)
+
+        sim.process(proc())
+        sim.run()
+
+    def test_waiters_behind_shared_grant_are_fifo(self, sim):
+        res = Resource(sim, capacity=1)
+        order = []
+
+        def holder():
+            yield sim.timeout(0.5)  # alone at this instant: the tail grant
+            req = res.request_now()
+            assert req.processed
+            yield sim.timeout(1.5)
+            res.release(req)
+            order.append(("holder", sim.now))
+
+        def waiter(name, hold):
+            yield sim.timeout(1.0)
+            req = res.request_now()  # busy: queued, a real per-request event
+            assert not req.triggered
+            yield req
+            order.append((name, sim.now))
+            yield sim.timeout(hold)
+            res.release(req)
+
+        sim.process(holder())
+        sim.process(waiter("b", 1.0))
+        sim.process(waiter("c", 1.0))
+        sim.run()
+        assert order == [("holder", 2.0), ("b", 2.0), ("c", 3.0)]
+        assert res.count == 0 and not res.queue
+
+    def test_not_at_tail_takes_the_queued_grant(self, sim):
+        res = Resource(sim, capacity=1)
+        got = []
+
+        def proc():
+            req = res.request_now()
+            got.append(req)
+            if req.callbacks is not None:
+                yield req
+            res.release(req)
+
+        sim.process(proc())
+        sim.process(proc())  # booted at the same instant: the first is not last
+        sim.run()
+        assert got[0] is not got[1]
+
+    def test_shared_grant_is_a_context_manager(self, sim):
+        res = Resource(sim, capacity=1)
+
+        def proc():
+            with res.request_now() as req:
+                assert req.processed and res.count == 1
+                yield sim.timeout(1.0)
+            assert res.count == 0
+
+        sim.process(proc())
+        sim.run()
+
+    def test_capacity_two_keeps_one_object_per_request(self, sim):
+        res = Resource(sim, capacity=2)
+
+        def proc():
+            a, b = res.request_now(), res.request_now()
+            assert a.processed and b.processed and a is not b
+            assert res.count == 2
+            c = res.request_now()  # full: queued
+            assert not c.triggered
+            res.release(a)
+            assert c.triggered and res.count == 2
+            with pytest.raises(SimError):
+                res.release(a)  # a is gone; b and c are untouched
+            res.release(b)
+            res.release(c)
+            assert res.count == 0
+            yield sim.timeout(0.0)
+
+        sim.process(proc())
+        sim.run()

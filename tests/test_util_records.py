@@ -80,6 +80,43 @@ class TestMakeRecords:
         a = make_records(np.array([1], dtype=np.uint32))
         assert concat_records([a]) is a
 
+    @pytest.mark.parametrize("schema", [DEFAULT_SCHEMA, RecordSchema(8, "<u8"),
+                                        RecordSchema(16, "<u2")])
+    def test_concat_is_byte_equal_to_np_concatenate_on_random_splits(self, schema):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(0, 40))
+            whole = make_records(rng.integers(0, schema.key_max, n, dtype=np.uint64), schema)
+            if schema.payload_size:  # opaque payload bytes must survive too
+                whole["payload"] = rng.integers(
+                    0, 256, (n, schema.payload_size), dtype=np.uint8
+                ).view(whole.dtype["payload"]).reshape(n)
+            # cut points may repeat or sit at the ends: empty pieces included
+            cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(1, 6))))
+            pieces = np.split(whole, cuts)
+            got = concat_records(pieces, schema)
+            ref = np.concatenate(pieces)
+            assert got.dtype == ref.dtype == schema.dtype
+            assert got.tobytes() == ref.tobytes() == whole.tobytes()
+            assert not any(np.shares_memory(got, p) for p in pieces)
+
+    def test_concat_of_foreign_dtype_falls_back_to_np_concatenate(self):
+        # Batches that are not of the schema's dtype take NumPy's own path
+        # (promotion and all) instead of being squeezed into the schema.
+        a = np.array([1, 2], dtype=np.int64)
+        b = np.array([3.5])
+        got = concat_records([a, b])
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0, 3.5]
+        small = RecordSchema(8, "<u4")
+        mixed = [make_records(np.arange(2), small), make_records(np.arange(3), small)]
+        got = concat_records(mixed)  # caller forgot schema=: still right
+        assert got.dtype == small.dtype and list(got["key"]) == [0, 1, 0, 1, 2]
+
+    def test_schema_dtype_is_built_once(self):
+        schema = RecordSchema(32, "<u4")
+        assert schema.dtype is schema.dtype
+        assert schema == RecordSchema(32, "<u4") and hash(schema) == hash(RecordSchema(32, "<u4"))
+
     def test_key_dtype_conversion(self):
         batch = make_records(np.array([1.0, 2.0]))  # float in
         assert batch["key"].dtype == np.dtype("<u4")
