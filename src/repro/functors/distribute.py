@@ -62,9 +62,12 @@ class DistributeFunctor(Functor):
         self.splitters = np.asarray(splitters, dtype=np.uint64)
         if self.splitters.ndim != 1:
             raise FunctorError("splitters must be one-dimensional")
-        if self.splitters.shape[0] and np.any(np.diff(self.splitters.astype(np.int64)) < 0):
+        if np.any(self.splitters[1:] < self.splitters[:-1]):
             raise FunctorError("splitters must be nondecreasing")
         self.alpha = int(self.splitters.shape[0]) + 1
+        # Narrowest unsigned type holding a bucket id: for one or two bytes
+        # NumPy's stable argsort is a radix pass (see ``apply``).
+        self._id_dtype = np.min_scalar_type(self.alpha - 1)
         self.n_outputs = self.alpha
         self.name = f"distribute:{self.alpha}"
 
@@ -87,14 +90,14 @@ class DistributeFunctor(Functor):
         """Partition a batch into α bucket batches (relative order kept)."""
         if self.alpha == 1:
             return [batch]
-        idx = self.bucket_of(batch["key"])
+        idx = self.bucket_of(batch["key"]).astype(self._id_dtype)
         # Stable grouping: argsort on the bucket index keeps record order
-        # inside each bucket, matching a sequential distribute pass.
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        boundaries = np.searchsorted(sorted_idx, np.arange(1, self.alpha))
-        pieces = np.split(batch[order], boundaries)
-        return pieces
+        # inside each bucket, matching a sequential distribute pass.  Records
+        # move once (the take); the pieces are slices of it, cut where the
+        # running bucket counts say.
+        moved = batch.take(np.argsort(idx, kind="stable"))
+        ends = np.bincount(idx, minlength=self.alpha).cumsum().tolist()
+        return [moved[start:end] for start, end in zip([0] + ends, ends)]
 
     def histogram(self, batch: np.ndarray) -> np.ndarray:
         """Bucket occupancy for a batch (skew diagnosis, no data movement)."""

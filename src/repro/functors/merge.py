@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..containers.packet import Packet
-from ..util.records import DEFAULT_SCHEMA, sort_records
+from ..util.records import DEFAULT_SCHEMA, sort_records, stable_key_order
 from ..util.validation import check_sorted
 from .base import Functor, FunctorError
 
@@ -24,21 +24,35 @@ __all__ = ["MergeFunctor", "merge_sorted_batches"]
 def merge_sorted_batches(batches: Sequence[np.ndarray], verify: bool = False) -> np.ndarray:
     """K-way merge of sorted record batches into one sorted batch.
 
-    Implemented as a stable mergesort over the concatenation — O(n log k)
-    comparisons like a loser tree, and genuinely produces the merged order
-    (NumPy's mergesort on nearly-sorted concatenations does the run-merging
-    internally).  ``verify`` asserts input runs are sorted first.
+    Same bytes as a stable sort of the concatenation — ties go to the earlier
+    batch, like a loser tree that breaks ties by run number.  The order is
+    decided on the concatenated *keys* (:func:`stable_key_order`, 1/32 of the
+    data for the paper's records); inverting it says where each input record
+    lands, so every batch is placed straight into the output and each record
+    moves once.  ``verify`` asserts input runs are sorted first.
     """
-    batches = [b for b in batches if b.shape[0]]
+    given = list(batches)
+    batches = [b for b in given if b.shape[0]]
     if not batches:
-        return np.empty(0, dtype=DEFAULT_SCHEMA.dtype)
+        return given[0][:0] if given else np.empty(0, dtype=DEFAULT_SCHEMA.dtype)
     if verify:
         for i, b in enumerate(batches):
             check_sorted(b, what=f"merge input run {i}")
     if len(batches) == 1:
         return batches[0]
-    joined = np.concatenate(batches)
-    return sort_records(joined)
+    dtype = batches[0].dtype
+    if not dtype.names or any(b.dtype != dtype for b in batches):
+        return sort_records(np.concatenate(batches))  # NumPy picks the dtype
+    order = stable_key_order(np.concatenate([b["key"] for b in batches]))
+    n = order.shape[0]
+    dest = np.empty(n, dtype=np.intp)
+    dest[order] = np.arange(n, dtype=np.intp)
+    out = np.empty(n, dtype=dtype)
+    at = 0
+    for b in batches:
+        out.put(dest[at : at + b.shape[0]], b)
+        at += b.shape[0]
+    return out
 
 
 class MergeFunctor(Functor):

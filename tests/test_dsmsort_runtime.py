@@ -159,6 +159,76 @@ class TestEndToEnd:
             job.collected_output()
 
 
+class TestVerifyCatches:
+    """``verify()`` reads keys only; it must still catch what it caught."""
+
+    @staticmethod
+    def finished_job():
+        job = make_job(n=1 << 12, policy="sr", params=fig_params(n_hosts=2, n_asus=4),
+                       config=DSMConfig.for_n(1 << 12, alpha=4, gamma=16))
+        job.run_pass1()
+        job.run_pass2()
+        return job
+
+    @staticmethod
+    def a_run(job):
+        """A final run with at least two distinct keys at its ends."""
+        run = job.final_buckets[1][0]
+        assert run.shape[0] > 2 and run["key"][0] < run["key"][-1]
+        return run
+
+    def test_untouched_job_passes(self):
+        job = self.finished_job()
+        assert sorted(job.final_buckets) == [0, 1, 2, 3]
+        job.verify()
+        job.verify()  # and reading twice changes nothing
+
+    def test_empty_job_passes(self):
+        # No record reaches a final bucket: there are no key columns to join.
+        cfg = DSMConfig(n_records=0, alpha=4, beta=4, gamma=4)
+        job = make_job(params=fig_params(n_asus=2), config=cfg)
+        job.run_pass1()
+        job.run_pass2()
+        assert not job.final_buckets
+        job.verify()
+
+    def test_swapped_records_are_unsorted(self):
+        job = self.finished_job()
+        run = self.a_run(job)
+        run[[0, -1]] = run[[-1, 0]]
+        with pytest.raises(AssertionError, match="not sorted"):
+            job.verify()
+
+    def test_dropped_record_is_a_count_mismatch(self):
+        job = self.finished_job()
+        job.final_buckets[1][0] = self.a_run(job)[1:]
+        with pytest.raises(AssertionError, match=r"has 4095 records, input had 4096"):
+            job.verify()
+
+    def test_overwritten_key_is_not_a_permutation(self):
+        job = self.finished_job()
+        keys = self.a_run(job)["key"]
+        i = int(np.nonzero(keys[:-1] < keys[1:])[0][0])
+        keys[i] = keys[i + 1]  # still sorted, same count, one key lost
+        with pytest.raises(AssertionError, match="not a permutation"):
+            job.verify()
+
+    def test_exchanged_buckets_are_unsorted(self):
+        job = self.finished_job()
+        fb = job.final_buckets
+        fb[1], fb[2] = fb[2], fb[1]
+        with pytest.raises(AssertionError, match="not sorted"):
+            job.verify()
+
+    def test_verify_before_pass2_rejected(self):
+        job = make_job(n=1 << 12)
+        with pytest.raises(RuntimeError, match="run_pass2 first"):
+            job.verify()
+        job.run_pass1()
+        with pytest.raises(RuntimeError, match="run_pass2 first"):
+            job.verify()
+
+
 class TestSkewAndRouting:
     def test_static_routing_unbalances_under_skew(self):
         params = fig_params(n_hosts=2, n_asus=8)

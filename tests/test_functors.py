@@ -21,8 +21,10 @@ from repro.functors import (
     sample_splitters,
     uniform_splitters,
 )
-from repro.util.records import make_records
+from repro.util.records import DEFAULT_SCHEMA, RecordSchema, make_records
 from repro.util.validation import check_sorted_permutation, is_sorted
+
+from .test_util_records import keys_of, stable_by_key, stamped
 
 
 def batch_of(keys):
@@ -185,6 +187,15 @@ class TestDistribute:
         with pytest.raises(FunctorError):
             DistributeFunctor(splitters=[100, 50])
 
+    def test_splitters_above_int64_range_accepted(self):
+        # The monotonicity check used to cast to int64, where 2**63 + 1 wraps
+        # negative and a nondecreasing table looked decreasing.
+        f = DistributeFunctor(np.array([1, 2**63 + 1], dtype=np.uint64))
+        keys = np.array([0, 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+        assert f.bucket_of(keys).tolist() == [0, 1, 1, 2, 2]
+        with pytest.raises(FunctorError, match="nondecreasing"):
+            DistributeFunctor(np.array([2**63 + 1, 1], dtype=np.uint64))
+
     def test_sample_splitters_balance_skew(self):
         rng = np.random.default_rng(2)
         keys = (np.clip(rng.exponential(0.05, 20000), 0, 1) * (2**32 - 1)).astype(np.uint64)
@@ -267,6 +278,16 @@ class TestMerge:
         assert merge_sorted_batches([]).shape == (0,)
         assert merge_sorted_batches([batch_of([])]).shape == (0,)
 
+    def test_merge_of_empty_batches_keeps_the_callers_dtype(self):
+        # The nothing-left branch used to hard-code the 128-byte default.
+        small = RecordSchema(64, "<u4")
+        empty = make_records(np.empty(0, dtype=np.uint32), small)
+        for batches in ([empty], [empty, empty]):
+            out = merge_sorted_batches(batches)
+            assert out.shape == (0,) and out.dtype == small.dtype
+        assert merge_sorted_batches([]).dtype == DEFAULT_SCHEMA.dtype
+        assert merge_sorted_batches(iter([])).dtype == DEFAULT_SCHEMA.dtype
+
     def test_plan_passes(self):
         f = MergeFunctor(gamma=8)
         assert f.plan_passes(1) == 0
@@ -277,6 +298,85 @@ class TestMerge:
     def test_plan_passes_fanin_one(self):
         with pytest.raises(FunctorError):
             MergeFunctor(1).plan_passes(5)
+
+
+def distribute_reference(f: DistributeFunctor, batch):
+    """``DistributeFunctor.apply`` as it was before the byte-index rewrite."""
+    if f.alpha == 1:
+        return [batch]
+    idx = f.bucket_of(batch["key"])
+    order = np.argsort(idx, kind="stable")
+    boundaries = np.searchsorted(idx[order], np.arange(1, f.alpha))
+    return np.split(batch[order], boundaries)
+
+
+KERNEL_SCHEMAS = [DEFAULT_SCHEMA, RecordSchema(8, "<u2"), RecordSchema(16, "<u8")]
+
+
+class TestKernelEquivalence:
+    """The record kernels against their reference compositions, byte for byte,
+    on tied keys whose payloads tell the tied records apart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        schema=st.sampled_from(KERNEL_SCHEMAS),
+        n=st.sampled_from([0, 1, 7, 300, 700, 5000]),
+        n_runs=st.integers(1, 64),
+        distinct=st.sampled_from([None, 2, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merge_is_stable_sort_of_concatenation(self, schema, n, n_runs, distinct, seed):
+        whole = stamped(keys_of(schema.key_dtype, n, distinct, seed), schema)
+        # repeated cut points and cuts at the ends: empty runs mixed in
+        cuts = np.sort(np.random.default_rng(seed).integers(0, n + 1, n_runs - 1))
+        runs = [stable_by_key(piece) for piece in np.split(whole, cuts)]
+        before = [r.tobytes() for r in runs]
+        got = merge_sorted_batches(runs, verify=True)
+        assert got.dtype == schema.dtype
+        assert got.tobytes() == stable_by_key(np.concatenate(runs)).tobytes()
+        assert [r.tobytes() for r in runs] == before  # inputs untouched
+        if sum(1 for r in runs if r.shape[0]) > 1:
+            assert not any(np.shares_memory(got, r) for r in runs)
+
+    def test_merge_of_plain_key_arrays(self):
+        runs = [np.array([1, 4], dtype=np.uint32), np.array([2, 3], dtype=np.uint32)]
+        assert merge_sorted_batches(runs).tolist() == [1, 2, 3, 4]
+
+    def test_merge_of_mixed_dtypes_promotes_like_concatenate(self):
+        runs = [np.array([1, 4], dtype=np.int64), np.array([2.5])]
+        out = merge_sorted_batches(runs)
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.5, 4.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.sampled_from([1, 2, 4, 256, 257]),
+        n=st.sampled_from([0, 1, 5, 1024]),
+        distinct=st.sampled_from([None, 2, 8]),
+        sampled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distribute_equals_argsort_split_reference(self, alpha, n, distinct, sampled, seed):
+        batch = stamped(keys_of("<u4", n, distinct, seed))
+        if sampled and n:  # data-derived splitters: repeated ones, empty buckets
+            f = DistributeFunctor(sample_splitters(batch["key"], alpha))
+        else:
+            f = DistributeFunctor.uniform(alpha)
+        before = batch.tobytes()
+        got = f.apply(batch)
+        ref = distribute_reference(f, batch)
+        assert len(got) == alpha
+        assert [p.dtype for p in got] == [batch.dtype] * alpha
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in ref]
+        assert batch.tobytes() == before
+        assert f.histogram(batch).tolist() == [p.shape[0] for p in got]
+
+    def test_distribute_beyond_two_byte_bucket_ids(self):
+        alpha = (1 << 16) + 2  # bucket ids no longer fit uint16
+        f = DistributeFunctor(np.arange(1, alpha, dtype=np.uint64))
+        batch = stamped([alpha - 1, 0, 65536, 65535, 0, alpha + 7, 65536])
+        got = f.apply(batch)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in distribute_reference(f, batch)]
+        assert got[0].shape[0] == 2 and got[65536].shape[0] == 2 and got[alpha - 1].shape[0] == 2
 
 
 @settings(max_examples=30, deadline=None)

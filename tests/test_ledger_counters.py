@@ -18,10 +18,15 @@ re-declared here through the public API so tier-1 does not import the
 benchmark: ``frag_cell`` at full size, the ``bulk_sort`` cell at n = 2^14, and
 the ``guarded_sort`` cell at n = 2^12, fault-free, on four rungs of the
 optional-layer ladder.
+
+The last case ratchets *memory* the same way — as an allocation count, not a
+timing: the ``tracemalloc`` peak of a whole ``bulk_sort`` job as a multiple of
+its input size.
 """
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -90,6 +95,33 @@ def test_counters_match_ledger_exactly(name):
     # == on the makespan too: it is a pure function of the schedule, and the
     # JSON round-trip of a float is exact (repr).
     assert pass1_counters(CELLS[name]()) == _ledger()[name]
+
+
+def test_bulk_sort_peak_memory_in_data_set_copies():
+    """Peak traced memory of construct + pass 1 + pass 2 + ``verify()`` on the
+    ``bulk_sort`` cell at n = 2^16, in units of the input's n x 128 bytes.
+
+    The floor is 3.0 — input, pass-1 runs and final output are all alive when
+    the job ends — and the record data plane adds no further full-size copy:
+    3.29 measured (3.17 as a process's second job; 3.15 at 2^18).  It was 5.23
+    while ``verify()`` concatenated input and output records and the merge
+    copied every record twice.  Allocation sizes do not depend on the
+    machine's speed, so an extra copy of the data set fails here instead of
+    waiting for someone to read ``peak_rss_mb``.
+    """
+    params, cfg = _cell(8, 2, 1 << 16, 4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        job = DsmSortJob(params, cfg, policy="sr", active=True, seed=SEED)
+        job.run_pass1()
+        job.run_pass2()
+        job.verify()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / params.schema.nbytes(cfg.n_records) <= 3.5
 
 
 if __name__ == "__main__":
