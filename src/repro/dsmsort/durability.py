@@ -142,18 +142,16 @@ class StripedRuns(RunDurability):
         payload = ("run", entry.bucket, entry.run)
         if entry.rid is not None:
             payload += (entry.rid,)
-        self.job._post_from(
-            host.node_id, f"asu{entry.dest}", payload, nbytes, tag="run"
-        )
+        self.job._net.post(host.node_id, f"asu{entry.dest}", payload, nbytes, "run")
 
     def _next_alive_stripe(self, h: int) -> int:
-        """Next ASU to stripe a run onto: alive, and (reliable mode) with a
-        healthy breaker on the host->ASU link.  The second pass relaxes the
-        breaker condition — when every alive link is quarantined, a degraded
-        link still beats no link (graceful degradation, not deadlock)."""
+        """Next ASU to stripe a run onto: alive, and with a host->ASU link
+        the transport calls healthy.  The second pass relaxes the health
+        condition — when every alive link is quarantined, a degraded link
+        still beats no link (graceful degradation, not deadlock)."""
         job = self.job
         D = job.params.n_asus
-        board = job.breaker_board
+        healthy = job._net.healthy
         host_id = f"host{h}"
         for allow_open in (False, True):
             start = self._stripe_next[h]
@@ -161,11 +159,7 @@ class StripedRuns(RunDurability):
                 d = (start + step) % D
                 if d in job._dead_asus:
                     continue
-                if (
-                    not allow_open
-                    and board is not None
-                    and not board.healthy(host_id, f"asu{d}")
-                ):
+                if not allow_open and not healthy(host_id, f"asu{d}"):
                     continue
                 self._stripe_next[h] = d + 1
                 return d

@@ -46,21 +46,17 @@ from ..faults.report import FaultReport
 from ..functors.blocksort import BlockSortFunctor
 from ..functors.distribute import DistributeFunctor
 from ..functors.merge import MergeFunctor, merge_sorted_batches
-from ..resilience.breaker import BreakerBoard
-from ..resilience.channel import REL, ReliableEndpoint, RetryPolicy
-from ..resilience.io import read_resilient
 from ..sim import Event, Store
 from ..util.distributions import make_workload
 from ..util.records import concat_records, sort_records
 from ..util.rng import RngRegistry
 from ..util.validation import check_sorted_permutation
 from .durability import StripedRuns
+from .transport import DirectTransport
 
 __all__ = ["DsmSortJob", "MODE_RULES", "Pass1Result", "Pass2Result"]
 
 _EOF = "__eof__"
-#: reliable-transport circuit breakers cool down for this many retry timeouts
-_BREAKER_COOLDOWN_TIMEOUTS = 8
 
 
 def _key_column(batches: list[np.ndarray]) -> np.ndarray:
@@ -182,6 +178,10 @@ MODE_RULES = (
      and sorted(m.faults.kinds() & _LOSSY_KINDS),
      "fault plan injects {hit} but transport='direct' cannot mask message "
      "loss or transient I/O errors; use transport='reliable'"),
+    ("retry-policy-needs-reliable",
+     lambda m: m.retry_policy is not None and m.transport == "direct",
+     "retry_policy= tunes the reliable transport; transport='direct' never "
+     "retries and takes no policy"),
     ("detection-name", lambda m: m.detection_mode not in ("timer", "network"),
      "detection_mode must be 'timer' or 'network', got {m.detection_mode!r}"),
     ("network-excludes-speculation",
@@ -228,7 +228,7 @@ class DsmSortJob:
         metrics=None,
         scrape_interval=None,
         transport: str = "direct",
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy=None,
         manifest=None,
         routing_seed: Optional[int] = None,
         speculation=None,
@@ -250,6 +250,7 @@ class DsmSortJob:
             params=params, active=active, faults=faults, transport=transport,
             detection_mode=detection_mode, speculation=speculation,
             replication=replication, background_asu_duty=background_asu_duty,
+            retry_policy=retry_policy,
         ))
         if speculation is not None and metrics is None:
             # The speculator reads per-replica progress rates from the
@@ -365,15 +366,14 @@ class DsmSortJob:
         #: repro.membership.ViewService of the current FT pass (network mode)
         self.view = None
         #: "direct" posts straight onto the network (the paper's lossless
-        #: emulation); "reliable" runs every host<->ASU exchange through a
-        #: :class:`~repro.resilience.channel.ReliableEndpoint` so injected
-        #: message faults (drop/dup/delay/corrupt) and transient disk errors
-        #: are masked by retransmission, dedup, and resilient reads.
+        #: emulation); "reliable" runs every host<->ASU exchange through
+        #: seq/ack/retransmit endpoints so injected message faults
+        #: (drop/dup/delay/corrupt) and transient disk errors are masked by
+        #: retransmission, dedup, and resilient reads.  The FT pass builds
+        #: ``self._net`` from it (:mod:`repro.dsmsort.transport`).
         self.transport = transport
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: per-node reliable endpoints (reliable transport only; keyed node_id)
-        self._endpoints: Optional[dict[str, ReliableEndpoint]] = None
-        self.breaker_board: Optional[BreakerBoard] = None
+        #: repro.resilience.RetryPolicy (None = the reliable default)
+        self.retry_policy = retry_policy
         #: optional repro.trace.Tracer shared by both passes; pass-2 events
         #: are placed after pass 1 on one stitched timeline via tracer.offset
         self.tracer = tracer
@@ -734,9 +734,9 @@ class DsmSortJob:
         # Membership state (network detection mode; empty/idle otherwise).
         self._fenced_asus: set[int] = set()
         #: global frag exactly-once authority: (src_d, block, bucket) -> the
-        #: _FragEntry whose host actually buffered the records (membership
-        #: mode only — the fail-stop model needs no cross-host dedup because
-        #: a crashed producer can never re-ship what a takeover re-ships)
+        #: _FragEntry whose host actually buffered the records.  A takeover
+        #: re-ships whatever its dead or expelled predecessor left in doubt
+        #: (a copy may still have landed), so hosts dedup across entries.
         self._frags_accepted: dict[tuple, "_FragEntry"] = {}
         self._n_readmitted = 0
         self._n_dup_frags_dropped = 0
@@ -781,25 +781,16 @@ class DsmSortJob:
             for rid, h, bucket, dest, payload in state.live_runs:
                 self._runs.adopt(rid, h, bucket, dest, payload)
 
+        # The one transport decision; from here on the engine calls
+        # ``self._net`` without asking which it holds.
         if self.transport == "reliable":
-            # One endpoint per node, each with its own RNG stream (fresh
-            # registry per run so a re-run reproduces the same jitter).
-            rngs = RngRegistry(self.rngs.seed)
-            self.breaker_board = BreakerBoard(
-                plat.sim, cooldown=self.retry_policy.timeout * _BREAKER_COOLDOWN_TIMEOUTS
+            from ..resilience.transport import ReliableTransport
+
+            self._net = ReliableTransport(
+                plat, self.retry_policy, self.rngs.seed, self._undeliverable_ft
             )
-            self._endpoints = {
-                node.node_id: ReliableEndpoint(
-                    plat, node,
-                    rng=rngs.get(f"rel.{node.node_id}"),
-                    policy=self.retry_policy,
-                    board=self.breaker_board,
-                )
-                for node in [*plat.hosts, *plat.asus]
-            }
         else:
-            self._endpoints = None
-            self.breaker_board = None
+            self._net = DirectTransport(plat, self._undeliverable_ft)
 
         injector = Injector(plat, self.faults, on_fault=self._on_fault_ft)
         detector = FailureDetector(
@@ -812,7 +803,6 @@ class DsmSortJob:
         self.injector, self.detector = injector, detector
         injector.arm()
         detector.start()
-        plat.network.dead_letter_hook = self._dead_letter_ft
 
         for d in range(D):
             plat.spawn(
@@ -844,14 +834,6 @@ class DsmSortJob:
         makespan = plat.sim.now
         self._finish_pass1(makespan, completed)
         self.fault_report = FaultReport.from_run(injector, detector, self.recovered_at)
-        channel_stats = None
-        n_trips = 0
-        if self._endpoints is not None:
-            channel_stats = {}
-            for ep in self._endpoints.values():
-                for k, v in ep.stats.as_dict().items():
-                    channel_stats[k] = channel_stats.get(k, 0) + v
-            n_trips = self.breaker_board.n_trips()
         return self._pass1_result(
             plat, makespan, util_dt,
             fault_report=self.fault_report,
@@ -859,8 +841,6 @@ class DsmSortJob:
             n_takeover_blocks=self._n_takeover_blocks,
             completed=completed,
             n_durable=self._ft_durable,
-            channel_stats=channel_stats,
-            n_breaker_trips=n_trips,
             coordinator_crashed=self._coord_crashed,
             n_hedged_shards=self._n_hedged_shards,
             n_hedge_wasted_frags=self._n_hedge_wasted_frags,
@@ -872,59 +852,22 @@ class DsmSortJob:
             n_dup_frags_dropped=self._n_dup_frags_dropped,
             view_epoch=0 if self.view is None else self.view.epoch,
             **self._runs.counters(),
+            **self._net.counters(),
         )
 
-    # -- reliable-transport plumbing (falls through to the direct path) -------
-    def _recv_node(self, node):
-        """Receive on ``node``: endpoint inbox in reliable mode, else mailbox.
-
-        The endpoint's receiver forwards non-envelope messages (e.g. the
-        recovery manager's ``reemit`` control injections) untouched, so both
-        paths see the same application messages.
-        """
-        if self._endpoints is None:
-            msg = yield from node.recv()
-        else:
-            msg = yield from self._endpoints[node.node_id].recv()
-        return msg
-
-    def _post_from(self, src_id: str, dst_id: str, payload, nbytes: int, tag: str) -> None:
-        """Post from ``src_id`` (callback-safe; bypasses the send window)."""
-        if self._endpoints is None:
-            self._ft_plat.network.post(src_id, dst_id, payload, nbytes, tag=tag)
-        else:
-            self._endpoints[src_id].post(dst_id, payload, nbytes, tag=tag)
-
     def _avoid_hosts(self, src_id: str) -> tuple:
-        """Hosts whose link from ``src_id`` has an open breaker.
+        """Hosts the transport reports an unhealthy link to from ``src_id``.
 
         A soft steer-around set for the router: quarantined (dead) hosts are
         already masked, this additionally routes fragments away from flapping
-        links until their breaker cools down.  Empty on the direct path, so
+        links until they recover.  Empty while every link is healthy, so
         fault-free routing decisions are untouched.
         """
-        board = self.breaker_board
-        if board is None:
-            return ()
+        healthy = self._net.healthy
         return tuple(
             h for h in range(self.params.n_hosts)
-            if h not in self._dead_hosts and not board.healthy(src_id, f"host{h}")
+            if h not in self._dead_hosts and not healthy(src_id, f"host{h}")
         )
-
-    def _alive_endpoint(self) -> ReliableEndpoint:
-        """Any endpoint on an alive node — replay source when the origin died.
-
-        In membership mode the node must also be a current view member: an
-        expelled node's endpoint would retransmit into the cut that got it
-        expelled, stalling the replay until the heal.
-        """
-        plat = self._ft_plat
-        for node in [*plat.asus, *plat.hosts]:
-            if node.alive and (
-                self.view is None or self.view.is_member(node.node_id)
-            ):
-                return self._endpoints[node.node_id]
-        raise UnrecoverableJobError("no alive node left to replay from")
 
     def _producer_fenced(self, owner: int, shard: int) -> bool:
         """Zombie check: an expelled producer must stop shipping.
@@ -947,10 +890,8 @@ class DsmSortJob:
         same yield-free region as the post, so a ship is exactly-once across
         any chain of takeovers.
         """
-        from ..emulator.readahead import ReadAhead
-
         asu = plat.asus[owner]
-        ep = None if self._endpoints is None else self._endpoints[asu.node_id]
+        net = self._net
         data = self.asu_data[shard]
         H = self.params.n_hosts
         cpnb = self.params.cycles_per_net_byte
@@ -964,27 +905,19 @@ class DsmSortJob:
         stripe_bytes = sizes * rs
         staging_cycles = stripe_bytes * self.params.cycles_per_io_byte
         dist_cycles = self.dist.cost_cycles_batch(sizes, self.params)
-        if ep is None:
-            ra = ReadAhead(plat, asu, [int(stripe_bytes[i]) for i in pending])
-        else:
-            # Reliable mode reads sequentially through the retry wrapper: a
-            # transient disk-fault window stalls this producer (bounded
-            # backoff) instead of crashing a prefetch process.
-            ra = None
+        reads = net.reader(asu, [int(stripe_bytes[i]) for i in pending])
         for i in pending:
             block = blocks[i]
-            if ra is not None:
-                yield ra.wait_next()
+            yield from reads.arrive()
             # A hedged replica (or the hedged original) may have completed
             # this block while we progressed: skip it.  For a solo producer
             # the marker can never appear mid-loop, so the plain FT path is
-            # untouched.  The prefetched read above is still consumed.
+            # untouched.  A read that arrived above is still consumed.
             if (shard, i) in self._blocks_complete:
                 continue
             if self._producer_fenced(owner, shard):
                 return  # expelled mid-stream: the fenced takeover owns the rest
-            if ra is None:
-                yield from read_resilient(plat.sim, asu.disk, int(stripe_bytes[i]))
+            yield from reads.fetch(int(stripe_bytes[i]))
             t0 = plat.sim.now
             staging = staging_cycles[i]
             if staging:
@@ -1026,13 +959,10 @@ class DsmSortJob:
                 per_host[h].append((bucket, piece))
             for h, frags in per_host.items():
                 n = sum(p.shape[0] for _b, p in frags)
-                if ep is not None:
-                    # Backpressure: block on the destination's credit window
-                    # *before* the atomic ship region, surfacing the stall as
-                    # a routing signal while we wait.
-                    self.load_manager.backpressure_begin(h, n)
-                    waited = yield from ep.wait_window(plat.hosts[h].node_id)
-                    self.load_manager.backpressure_end(h, n, waited)
+                # Flow control *before* the atomic ship region.
+                yield from net.wait_window(
+                    asu.node_id, plat.hosts[h].node_id, self.load_manager, h, n
+                )
                 yield from asu.cpu.execute(cycles=n * rs * cpnb)
                 # Atomic with the post: retention entries + ship markers.
                 # Expulsion can only land at the yields above, so this check
@@ -1071,9 +1001,9 @@ class DsmSortJob:
                         from ..recovery.manifest import digest_records
 
                         self._frag_digests[(shard, i, b)] = digest_records(p)
-                self._post_from(
+                net.post(
                     asu.node_id, plat.hosts[h].node_id,
-                    ("frags", shard, frags, entries), n * rs, tag="frags",
+                    ("frags", shard, frags, entries), n * rs, "frags",
                 )
             self._blocks_complete.add((shard, i))
             if self.manifest is not None:
@@ -1094,9 +1024,9 @@ class DsmSortJob:
             if self.manifest is not None:
                 self.manifest.log_shard_done(shard, len(blocks))
             for h in range(H):
-                self._post_from(
+                net.post(
                     asu.node_id, plat.hosts[h].node_id, (_EOF, shard, None), 16,
-                    tag="eof",
+                    "eof",
                 )
 
     def _host_pass1_ft(self, plat: ActivePlatform, h: int, sort_cpr: float):
@@ -1123,7 +1053,7 @@ class DsmSortJob:
         eof_from: set[int] = set()
         flushed = False
         while True:
-            msg = yield from self._recv_node(host)
+            msg = yield from self._net.recv(host)
             kind, src = msg.payload[0], msg.payload[1]
             if kind == _EOF:
                 eof_from.add(src)
@@ -1147,34 +1077,33 @@ class DsmSortJob:
                 continue
             frags = msg.payload[2]
             entries = msg.payload[3]
-            if self.view is not None:
-                if h in self._dead_hosts:
-                    # Expelled (possibly still alive): the expulsion-time
-                    # replay handed these records to survivors — buffering
-                    # them here would strand them behind the run fence.
+            if h in self._dead_hosts:
+                # Expelled but still alive (a cut, not a crash): the
+                # expulsion-time replay handed these records to survivors —
+                # buffering them here would strand them behind the run fence.
+                continue
+            fresh = []
+            for f, e in zip(frags, entries):
+                fkey = (e.src_d, e.block, e.bucket)
+                owner = self._frags_accepted.get(fkey)
+                if owner is e:
+                    self._n_dup_frags_dropped += 1
+                    continue  # duplicate delivery of the accepted entry
+                if owner is not None:
+                    # Another host already buffered these records (a takeover
+                    # re-shipped what its predecessor left in doubt): drop,
+                    # and retire this retention entry so a later host death
+                    # cannot replay it into a dup.
+                    e.done = True
+                    self._n_dup_frags_dropped += 1
                     continue
-                fresh = []
-                for f, e in zip(frags, entries):
-                    fkey = (e.src_d, e.block, e.bucket)
-                    owner = self._frags_accepted.get(fkey)
-                    if owner is e:
-                        self._n_dup_frags_dropped += 1
-                        continue  # duplicate delivery of the accepted entry
-                    if owner is not None:
-                        # Another host already buffered these records (a
-                        # fenced takeover re-shipped what a zombie had in
-                        # flight): drop, and retire this retention entry so
-                        # a later host death cannot replay it into a dup.
-                        e.done = True
-                        self._n_dup_frags_dropped += 1
-                        continue
-                    self._frags_accepted[fkey] = e
-                    fresh.append((f, e))
-                if not fresh:
-                    continue
-                if len(fresh) < len(frags):
-                    frags = [f for f, _e in fresh]
-                    entries = [e for _f, e in fresh]
+                self._frags_accepted[fkey] = e
+                fresh.append((f, e))
+            if not fresh:
+                continue
+            if len(fresh) < len(frags):
+                frags = [f for f, _e in fresh]
+                entries = [e for _f, e in fresh]
             if flushed:
                 for (bucket, piece), e in zip(frags, entries):
                     yield from self._emit_run_ft(
@@ -1246,7 +1175,7 @@ class DsmSortJob:
         """Perpetual consumer: make runs durable, drop quarantined hosts'."""
         asu = plat.asus[d]
         while True:
-            msg = yield from self._recv_node(asu)
+            msg = yield from self._net.recv(asu)
             if msg.payload[0] != "run":
                 continue
             delta = yield from self._runs.consume(asu, d, msg)
@@ -1306,12 +1235,14 @@ class DsmSortJob:
             self._dead_asus.add(d)
             if self.view is not None:
                 self._fence_asu_ft(node, d, t)
-            if self._endpoints is not None:
-                # Stop retransmitting to the corpse and release window
-                # waiters; undeliverable payloads are covered by log-based
-                # recovery below.
-                for ep in self._endpoints.values():
-                    ep.cancel_peer(nid)
+            # What the node posted and never saw acknowledged has no owner
+            # left to resend it: back to not-shipped, before the takeover
+            # below reads the markers.
+            for _dst, tag, payload in self._net.peer_lost(nid):
+                if tag == "frags":
+                    self._unship(payload[3])
+                elif tag == "eof":
+                    self._eof_posted.discard(payload[1])
             self._ft_durable += self._runs.asu_lost(node)  # idempotent; the crash hook already ran
             # Re-assign every shard the dead ASU owned to the next alive
             # mirror holder; ship markers make the takeover resume exactly
@@ -1352,24 +1283,23 @@ class DsmSortJob:
                 # checks (their runs drop) and never re-enlisted; the view
                 # still records the change so epochs stay honest.
                 self.view.expel(nid, t)
-            if self._endpoints is not None:
-                for ep in self._endpoints.values():
-                    ep.cancel_peer(nid)
+            # A host's unacknowledged transfers are runs, which die with it
+            # (host_lost below); only the peers' side needs cancelling.
+            self._net.peer_lost(nid)
             self.load_manager.quarantine(h)
             self._ft_durable += self._runs.host_lost(h)  # idempotent; the crash hook already ran
             for e in self._frag_log.pop(h, []):
                 if e.done:
                     continue
-                if self.view is not None:
-                    fkey = (e.src_d, e.block, e.bucket)
-                    owner = self._frags_accepted.get(fkey)
-                    if owner is not None and owner is not e:
-                        # Stale retention: another host buffered these
-                        # records — replaying this copy would double-count.
-                        e.done = True
-                        continue
-                    # Transfer the exactly-once authority with the replay.
-                    self._frags_accepted.pop(fkey, None)
+                fkey = (e.src_d, e.block, e.bucket)
+                owner = self._frags_accepted.get(fkey)
+                if owner is not None and owner is not e:
+                    # Stale retention: another host buffered these records
+                    # — replaying this copy would double-count.
+                    e.done = True
+                    continue
+                # Transfer the exactly-once authority with the replay.
+                self._frags_accepted.pop(fkey, None)
                 self._replay_frag_entry(plat, e)
             self.recovered_at[nid] = plat.sim.now
 
@@ -1395,26 +1325,14 @@ class DsmSortJob:
         nid = node.node_id
         if node.alive:
             self._fenced_asus.add(d)
-        if self._endpoints is not None:
-            # Stop the retransmission churn into the cut.  The cancelled
-            # pendings are NOT the unwind source below: a crash's timeouts
-            # may already have cancelled and dropped them.
-            self._endpoints[nid].fence_outbound(tags=("frags", "eof"))
-        # Unwind in-doubt ship state from the producer-side retention log:
-        # every fragment this node shipped that no host has proven accepted
-        # goes back to not-shipped, so the fenced takeover re-produces it.
-        # Copies that did land (in flight through an open direction, or
-        # delivered before the cut) are dedup'd by the host-side
-        # accepted-fragment authority, so the unwind can never double-count.
+        # Stop the retransmission churn into the cut.
+        self._net.fence(nid, ("frags", "eof"))
+        # Unwind in-doubt ship state from the producer-side retention log —
+        # a cut leaves even acknowledged-looking history in doubt, so the
+        # source is every fragment this node shipped, not just the transfers
+        # the transport still holds unacknowledged.
         for entries in self._frag_log.values():
-            for e in entries:
-                if e.done or e.src_node != nid:
-                    continue
-                fkey = (e.src_d, e.block, e.bucket)
-                if fkey in self._frags_accepted:
-                    continue  # a host holds these records; markers stand
-                self._shipped.discard(fkey)
-                self._blocks_complete.discard((e.src_d, e.block))
+            self._unship(e for e in entries if e.src_node == nid)
         # Re-announce EOF for every shard the node owned: its broadcasts may
         # have died in the cut, and hosts track EOFs as a set of shard ids,
         # so a duplicate announcement is benign while a missing one wedges
@@ -1440,9 +1358,7 @@ class DsmSortJob:
         nid = node.node_id
         self.view.admit(nid, t)
         self._n_readmitted += 1
-        if self._endpoints is not None:
-            for ep in self._endpoints.values():
-                ep.revive_peer(nid)
+        self._net.peer_back(nid)
         if not nid.startswith("asu"):
             return
         d = node.index
@@ -1467,40 +1383,49 @@ class DsmSortJob:
         self._frag_log[h2].append(ne)
         self._n_replayed_frags += 1
         rs = self.params.schema.record_size
-        payload = ("frags", e.src_d, [(e.bucket, e.piece)], [ne])
-        if self._endpoints is None:
-            plat.network.post(
-                e.src_node, plat.hosts[h2].node_id, payload, n * rs, tag="frags"
-            )
-        else:
-            ep = self._endpoints[e.src_node]
-            if not ep.node.alive or (
-                self.view is not None and not self.view.is_member(e.src_node)
-            ):
-                # The retaining producer died (or was expelled into a cut):
-                # replay from any surviving member (hosts key fragments by
-                # the payload's shard id, not by the wire-level source).
-                ep = self._alive_endpoint()
-            ep.post(plat.hosts[h2].node_id, payload, n * rs, tag="frags")
+        # If the retaining producer died (or was expelled into a cut), the
+        # transport names a surviving member to replay from (hosts key
+        # fragments by the payload's shard id, not the wire-level source).
+        src = self._net.sender_for(
+            e.src_node, lambda nid: self.view is None or self.view.is_member(nid)
+        )
+        self._net.post(
+            src, plat.hosts[h2].node_id,
+            ("frags", e.src_d, [(e.bucket, e.piece)], [ne]), n * rs, "frags",
+        )
 
-    def _dead_letter_ft(self, msg) -> None:
-        """Network callback: a delivery reached a fail-stopped node.
+    def _unship(self, entries) -> None:
+        """Return in-doubt fragments to not-shipped so a takeover re-produces
+        them: every live entry whose records no host has proven accepted.
+
+        A copy that did land after all is dedup'd by the host-side
+        accepted-fragment authority, so the unwind can never double-count —
+        and an entry is *not* retired here: if its copy lands first it is the
+        accepted one, and a later death of that host must still replay it.
+        """
+        for e in entries:
+            fkey = (e.src_d, e.block, e.bucket)
+            if e.done or fkey in self._frags_accepted:
+                continue  # superseded, or a host holds these records
+            self._shipped.discard(fkey)
+            self._blocks_complete.discard((e.src_d, e.block))
+
+    def _undeliverable_ft(self, dst: str, tag: str, payload) -> None:
+        """Transport callback: a message will never arrive — it reached a
+        fail-stopped node, or its sender stopped retrying a peer declared
+        dead before any copy was acknowledged.
 
         Only fragment messages whose destination host is *already detected*
         need action — they were posted in the window between a routing
         decision and the detection sweep, so the sweep missed them.  Every
-        other dead letter is covered by log-based recovery (run lineage,
-        EOF markers).
+        other loss is covered by log-based recovery (run lineage, EOF
+        markers).  A transfer can die both ways; ``done`` makes the second
+        report a no-op.
         """
-        if msg.tag != "frags" or not msg.dst.startswith("host"):
+        if tag != "frags" or not dst.startswith("host"):
             return
-        if int(msg.dst[4:]) not in self._dead_hosts:
+        if int(dst[4:]) not in self._dead_hosts:
             return
-        payload = msg.payload
-        if isinstance(payload, tuple) and len(payload) == 5 and payload[0] == REL:
-            # Reliable-transport envelope: unwrap the application payload
-            # (acks carry tag "rel-ack" and never reach this filter).
-            payload = payload[4]
         for e in payload[3]:
             if not e.done:
                 self._replay_frag_entry(self._ft_plat, e)

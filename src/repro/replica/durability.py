@@ -49,9 +49,8 @@ class ReplicatedRuns(RunDurability):
     def _post_copies(self, src_id: str, st, targets) -> None:
         nbytes = self._run_nbytes(st.run)
         for d in targets:
-            self.job._post_from(
-                src_id, f"asu{d}", ("run", st.bucket, st.run, st.key), nbytes,
-                tag="run",
+            self.job._net.post(
+                src_id, f"asu{d}", ("run", st.bucket, st.run, st.key), nbytes, "run"
             )
 
     def emit(self, host, h, bucket, run, fkeys):

@@ -14,6 +14,9 @@ package restores end-to-end reliability on top of the lossy substrate:
   routing layer consults to steer work away from flapping links;
 - :mod:`~repro.resilience.io` — retry wrapper for transient
   :class:`~repro.emulator.disk.DiskFault` read errors;
+- :mod:`~repro.resilience.transport` — ``ReliableTransport``: the one mesh
+  of the three above over a platform, and the reliable implementation of the
+  DSM-Sort pass's transport seam (:mod:`repro.dsmsort.transport`);
 - :mod:`~repro.resilience.chaos` — the seeded chaos soak harness behind
   ``python -m repro chaos``.
 

@@ -161,6 +161,12 @@ class ReliableEndpoint:
     plain reconstructed messages; non-protocol messages pass through
     untouched, so direct ``mailbox.put`` control paths keep working.
     Applications must read via :meth:`recv` (not ``node.recv``).
+
+    A transfer the endpoint stops retrying is never dropped silently:
+    ``on_undeliverable(dst, tag, payload)`` hears of one given up on while
+    this node lives (peer declared dead, attempts exhausted); one abandoned
+    because *this node* died — nobody is left to resend it — is kept in
+    :attr:`orphans` for whoever takes over the node's work (:meth:`in_doubt`).
     """
 
     def __init__(
@@ -171,6 +177,7 @@ class ReliableEndpoint:
         policy: Optional[RetryPolicy] = None,
         board=None,
         inbox_capacity: Optional[int] = None,
+        on_undeliverable=lambda dst, tag, payload: None,
     ):
         self.plat = plat
         self.sim = plat.sim
@@ -178,6 +185,9 @@ class ReliableEndpoint:
         self.policy = policy if policy is not None else RetryPolicy()
         self.rng = rng
         self.board = board
+        self.on_undeliverable = on_undeliverable
+        #: transfers abandoned unacknowledged because this node died
+        self.orphans: list[_Pending] = []
         #: delivered (deduped) messages, awaiting application recv
         self.inbox = Store(self.sim, capacity=inbox_capacity, name=f"rel:{node.node_id}")
         self.stats = ChannelStats()
@@ -252,8 +262,12 @@ class ReliableEndpoint:
                 f"{self.node.node_id}.backoff", f"grace {e.tag}".strip(),
                 cat="breaker-backoff",
             )
-        if not self.node.alive or e.dst in self._dead_peers:
+        if not self.node.alive:
+            self.orphans.append(e)
             self._cancel(e)
+            return
+        if e.dst in self._dead_peers:
+            self._give_up(e)
             return
         if self.board is not None:
             self.board.record_failure(self.node.node_id, e.dst)
@@ -261,7 +275,7 @@ class ReliableEndpoint:
         if self.policy.max_attempts is not None and attempts >= self.policy.max_attempts:
             self.stats.n_gave_up += 1
             self._note("gave-up", e)
-            self._cancel(e)
+            self._give_up(e)
             return
         e.attempt += 1
         self._transmit(e, first=False)
@@ -274,6 +288,16 @@ class ReliableEndpoint:
         self._release(e)
         if self.board is not None:
             self.board.record_success(self.node.node_id, e.dst)
+
+    def _give_up(self, e: _Pending) -> None:
+        """Stop retrying ``e`` on a live node: its owner must hear of it."""
+        self._cancel(e)
+        self.on_undeliverable(e.dst, e.tag, e.payload)
+
+    def in_doubt(self) -> list:
+        """Transfers posted here and never acknowledged — delivered or not,
+        nobody can tell: :attr:`orphans`, then those still awaiting an ack."""
+        return [*self.orphans, *self._pending.values()]
 
     def _cancel(self, e: _Pending) -> None:
         if e.cancelled or e.acked:

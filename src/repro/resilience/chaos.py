@@ -56,9 +56,9 @@ from ..sched import (
 from ..util.distributions import make_workload
 from ..util.records import concat_records, sort_records
 from ..util.rng import RngRegistry, derive_seed
-from .breaker import BreakerBoard
-from .channel import ReliableEndpoint, RetryPolicy
+from .channel import RetryPolicy
 from .io import read_resilient
+from .transport import ReliableTransport
 
 __all__ = [
     "ChaosApp", "ChaosReport", "ResilientFilterScan", "chaos_cell",
@@ -164,18 +164,7 @@ class ResilientFilterScan:
 
     def run(self, deadline: Optional[float] = None) -> dict:
         plat = ActivePlatform(self.params)
-        board = BreakerBoard(
-            plat.sim, fail_threshold=5, cooldown=self.policy.timeout * 8
-        )
-        rngs = RngRegistry(self.seed)
-        eps = {
-            node.node_id: ReliableEndpoint(
-                plat, node,
-                rng=rngs.get(f"rel.{node.node_id}"),
-                policy=self.policy, board=board,
-            )
-            for node in [*plat.hosts, *plat.asus]
-        }
+        net = ReliableTransport(plat, self.policy, self.seed)
         if self.faults is not None:
             Injector(plat, self.faults).arm()
         host = plat.hosts[0]
@@ -187,13 +176,13 @@ class ResilientFilterScan:
 
         def producer(d):
             asu = plat.asus[d]
-            ep = eps[asu.node_id]
+            ep = net.endpoints[asu.node_id]
             data = self.asu_data[d]
             blocks = [data[s : s + blk] for s in range(0, data.shape[0], blk)]
             for block in blocks:
                 yield from read_resilient(plat.sim, asu.disk, block.shape[0] * rs)
                 staging = block.shape[0] * rs * self.params.cycles_per_io_byte
-                if board.healthy(asu.node_id, host.node_id):
+                if net.healthy(asu.node_id, host.node_id):
                     kept = yield from asu.compute(
                         cycles=staging
                         + self.functor.cost_cycles(block.shape[0], self.params),
@@ -218,10 +207,9 @@ class ResilientFilterScan:
             yield from ep.send(host.node_id, ("eof", None), 16, tag="eof")
 
         def sink():
-            ep = eps[host.node_id]
             n_eof = 0
             while n_eof < D:
-                msg = yield from ep.recv()
+                msg = yield from net.recv(host)
                 kind, payload = msg.payload
                 if kind == "eof":
                     n_eof += 1
@@ -258,18 +246,13 @@ class ResilientFilterScan:
             if collected
             else np.empty(0, dtype=self.params.schema.dtype)
         )
-        stats: dict = {}
-        for ep in eps.values():
-            for k, v in ep.stats.as_dict().items():
-                stats[k] = stats.get(k, 0) + v
         return {
             "completed": completed,
             "makespan": plat.sim.now,
             "keys": np.sort(out["key"]),
             "net_bytes": plat.network.bytes_total,
-            "channel_stats": stats,
-            "n_breaker_trips": board.n_trips(),
             "n_degraded_blocks": n_degraded[0],
+            **net.counters(),
         }
 
 

@@ -12,6 +12,7 @@ from repro.__main__ import main
 from repro.core import DSMConfig
 from repro.dsmsort import DsmSortJob
 from repro.faults import FaultPlan, crash_asu, drop_msg
+from repro.resilience import RetryPolicy
 from repro.resilience.chaos import (
     ResilientFilterScan,
     chaos_params,
@@ -48,6 +49,13 @@ class TestTransportValidation:
         # Fail-stop recovery predates the reliable transport and must keep
         # working without it.
         self._job(faults=FaultPlan([crash_asu(0.5, 1)]))
+
+    def test_retry_policy_requires_reliable_transport(self):
+        # The direct transport never retries; a policy it would silently
+        # ignore is a caller's mistake.
+        with pytest.raises(ValueError, match="takes no policy"):
+            self._job(faults=FaultPlan(), retry_policy=RetryPolicy())
+        assert self._job(transport="reliable").retry_policy is None  # the default
 
     def test_deadline_requires_fault_mode(self):
         with pytest.raises(ValueError, match="deadline"):
@@ -132,6 +140,33 @@ class TestRunChaos:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos app"):
             run_chaos(seeds=1, apps=("sortbench",), n_records=N_SMALL)
+
+
+#: fault seeds whose schedule killed a message nobody owned (docs/RESILIENCE.md,
+#: "Two ways a message died unheard"): a dropped transfer whose *sender* then
+#: crashed (28 and most others), or a batch posted to an already-detected host
+#: inside a drop window (108).  Each stalled short of the record count.
+LOST_RECORD_SEEDS = (28, 108, 136, 152, 164, 184, 209, 237, 285, 335, 337, 388)
+
+
+@pytest.fixture(scope="module")
+def lost_record_cases():
+    report = run_chaos(
+        seeds=LOST_RECORD_SEEDS, apps=("dsmsort",), negative_control=False,
+        workers=1,
+    )
+    return {case["seed"]: case for case in report.cases}
+
+
+class TestNoMessageDiesUnheard:
+    @pytest.mark.parametrize("seed", LOST_RECORD_SEEDS)
+    def test_schedule_that_lost_records_now_sorts_them_all(
+        self, seed, lost_record_cases
+    ):
+        case = lost_record_cases[seed]
+        assert "crash_asu" in case["fault_kinds"] or "crash_host" in case["fault_kinds"]
+        held = case["invariants"]
+        assert held["completed"] and held["exact_count"] and held["sorted_permutation"]
 
 
 class TestChaosCli:

@@ -6,6 +6,8 @@ import pytest
 from repro.core import ConfigSolver, DSMConfig, predict_pass1
 from repro.dsmsort import DsmSortJob, adaptive_config, run_adaptive
 from repro.emulator.params import SystemParams
+from repro.faults import FaultPlan
+from repro.resilience import RetryPolicy
 
 
 def fig_params(**over):
@@ -452,6 +454,7 @@ class TestModeMatrix:
             faults=FaultPlan() if layered else None,
             transport=transport, detection_mode=detection,
             replication=kw.get("replication"), speculation=kw.get("speculation"),
+            retry_policy=None,
         )
         hits = [(name, msg) for name, rejects, msg in MODE_RULES if rejects(m)]
         if hits:
@@ -467,6 +470,10 @@ class TestModeMatrix:
         assert (job.faults is not None) == layered
         r1 = job.run_pass1()
         assert r1.completed
+        # Whatever the other layers, only the reliable transport has a channel
+        # to report on (and fault-free, neither trips a breaker).
+        assert (r1.channel_stats is None) == (transport == "direct")
+        assert r1.n_breaker_trips == 0
         job.run_pass2()
         job.verify()
 
@@ -475,6 +482,8 @@ class TestModeMatrix:
         (dict(active=False, transport="reliable"), "ft-needs-active"),
         (dict(transport="carrier-pigeon"), "transport-name"),
         (dict(detection_mode="psychic"), "detection-name"),
+        (dict(faults=FaultPlan(), retry_policy=RetryPolicy()),
+         "retry-policy-needs-reliable"),
     ])
     def test_value_rules_reject_by_name(self, bad, rule):
         from repro.dsmsort.runtime import MODE_RULES
@@ -488,4 +497,4 @@ class TestModeMatrix:
         from repro.dsmsort.runtime import MODE_RULES
 
         names = [name for name, _rejects, _msg in MODE_RULES]
-        assert len(names) == len(set(names)) == 8
+        assert len(names) == len(set(names)) == 9
