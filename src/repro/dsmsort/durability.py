@@ -116,7 +116,7 @@ class StripedRuns(RunDurability):
         # window gates; a blocking wait here would break emit atomicity.)
         entry = _RunEntry(
             bucket, run, self._next_alive_stripe(h),
-            self.job._register_run(h, bucket, fkeys),
+            self.job._journal.new_run(h, bucket, fkeys),
         )
         self._lineage[h].append(entry)
         self._post(host, entry, nbytes)
@@ -182,8 +182,8 @@ class StripedRuns(RunDurability):
                 return 0  # fenced: this ASU was expelled while we wrote
         # Atomic: durability record (the engine's completion check follows).
         self._store(d, bucket, run, src_h)
-        if job.manifest is not None and len(msg.payload) > 3:
-            job.manifest.log_run_durable(msg.payload[3], d, run)
+        if len(msg.payload) > 3:
+            job._journal.log_run_durable(msg.payload[3], d, run)
         sim = asu.sim
         if sim.tracer is not None or sim.metrics is not None:
             job._trace_records(sim, f"asu{d}.write", run.shape[0], dt=sim.now - t0)
@@ -192,16 +192,16 @@ class StripedRuns(RunDurability):
     def asu_lost(self, node) -> int:
         d = node.index
         runs = self.job.runs_on_asu[d]
-        if runs and self.job.manifest is not None:
-            self.job.manifest.log_purge_asu(d)
+        if runs:
+            self.job._journal.log_purge_asu(d)
         lost = sum(r.shape[0] for _b, r in runs)
         self._wipe_asu(d)
         return -lost
 
     def host_lost(self, h: int) -> int:
         lost = self._drop_copies_from(h)
-        if lost and self.job.manifest is not None:
-            self.job.manifest.log_purge_host(h)
+        if lost:
+            self.job._journal.log_purge_host(h)
         return -lost
 
     def detected(self, d: int):

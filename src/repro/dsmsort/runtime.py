@@ -52,6 +52,7 @@ from ..util.records import concat_records, sort_records
 from ..util.rng import RngRegistry
 from ..util.validation import check_sorted_permutation
 from .durability import StripedRuns
+from .journal import NO_JOURNAL
 from .transport import DirectTransport
 
 __all__ = ["DsmSortJob", "MODE_RULES", "Pass1Result", "Pass2Result"]
@@ -265,6 +266,9 @@ class DsmSortJob:
         #: repro.recovery.manifest.RunManifest journaling this job's progress
         #: (checkpoint/restart); None = no durability layer
         self.manifest = manifest
+        #: the one journal decision (:mod:`repro.dsmsort.journal`): every log
+        #: point below calls this without asking which side it holds
+        self._journal = manifest if manifest is not None else NO_JOURNAL
         #: repro.recovery.speculate.SpeculationPolicy enabling the straggler
         #: speculator during fault-tolerant run formation
         self.speculation = speculation
@@ -473,8 +477,7 @@ class DsmSortJob:
                 # pass 2.
                 self.tracer.span(0.0, makespan, "job", "pass1",
                                  cat="phase", sid="pass1")
-            if self.manifest is not None:
-                self.manifest.log_pass1_done(makespan)
+            self._journal.log_pass1_done(makespan)
         if self.metrics is not None and self.metrics.collector is not None:
             self.metrics.collector.finalize(makespan)
 
@@ -720,7 +723,9 @@ class DsmSortJob:
         self._ft_total = sum(a.shape[0] for a in self.asu_data)
         self._ft_durable = 0
         self._frag_log: dict[int, list[_FragEntry]] = defaultdict(list)
-        self._shipped: set[tuple[int, int, int]] = set()
+        #: ship markers, (shard, block, bucket) -> the piece shipped; a replay
+        #: that skips a marked fragment must have recomputed the same bytes
+        self._shipped: dict[tuple[int, int, int], Optional[np.ndarray]] = {}
         self._blocks_complete: set[tuple[int, int]] = set()
         self._eof_posted: set[int] = set()
         self._shard_owner: dict[int, int] = {d: d for d in range(D)}
@@ -740,10 +745,6 @@ class DsmSortJob:
         self._frags_accepted: dict[tuple, "_FragEntry"] = {}
         self._n_readmitted = 0
         self._n_dup_frags_dropped = 0
-        #: per-fragment content digests (speculation mode): lets a hedged
-        #: re-distribute verify it reproduced already-shipped fragments
-        #: byte-identically before skipping them
-        self._frag_digests = {} if self.speculation is not None else None
         self.recovered_at: dict[str, float] = {}
         self._complete_ev = Event(plat.sim)
         self._ft_plat = plat
@@ -758,28 +759,27 @@ class DsmSortJob:
                 [f"asu{d}" for d in range(D)] + [f"host{h}" for h in range(H)],
                 metrics=self.metrics,
             )
-            if self.manifest is not None:
-                self.manifest.attach_view(self.view)
+            self._journal.attach_view(self.view)
 
         if self.replication is not None:
             from ..replica.durability import ReplicatedRuns
 
             self._runs = ReplicatedRuns(self, self.replication)
 
-        if self.manifest is not None:
-            # Checkpoint/restart: bind the journal's charged writer to this
-            # platform, then replay it — a fresh manifest replays to nothing,
-            # a crashed predecessor's manifest restores the durable frontier
-            # so producers skip completed blocks and re-ship only what was
-            # lost.  EOF markers are volatile by design: every shard's
-            # producer re-announces EOF on the new platform.
-            self.manifest.bind(plat)
-            state = self.manifest.restore_state()
-            self._shipped = set(state.covered)
-            self._blocks_complete = set(state.blocks_complete)
-            self._ft_durable = state.n_durable
-            for rid, h, bucket, dest, payload in state.live_runs:
-                self._runs.adopt(rid, h, bucket, dest, payload)
+        # Checkpoint/restart: bind the journal's charged writer to this
+        # platform, then replay it — no journal or a fresh one replays to
+        # nothing, a crashed predecessor's restores the durable frontier so
+        # producers skip completed blocks and re-ship only what was lost
+        # (its runs are digest-verified on load: no piece to compare).  EOF
+        # markers are volatile by design: every shard's producer
+        # re-announces EOF on the new platform.
+        self._journal.bind(plat)
+        state = self._journal.restore_state()
+        self._shipped = dict.fromkeys(state.covered)
+        self._blocks_complete = set(state.blocks_complete)
+        self._ft_durable = state.n_durable
+        for rid, h, bucket, dest, payload in state.live_runs:
+            self._runs.adopt(rid, h, bucket, dest, payload)
 
         # The one transport decision; from here on the engine calls
         # ``self._net`` without asking which it holds.
@@ -939,19 +939,16 @@ class DsmSortJob:
                 if piece.shape[0] == 0:
                     continue
                 if (shard, i, bucket) in self._shipped:
-                    if self._frag_digests is not None:
-                        # Digest-checked dedup: a skipped fragment must be
-                        # byte-identical to what the competitor shipped —
-                        # catches any nondeterminism in a hedged replay.
-                        from ..recovery.manifest import digest_records
-
-                        prev = self._frag_digests.get((shard, i, bucket))
-                        if prev is not None and prev != digest_records(piece):
-                            raise RuntimeError(
-                                f"hedged replica recomputed fragment "
-                                f"({shard}, {i}, {bucket}) with different "
-                                f"content than the shipped original"
-                            )
+                    # A skipped fragment must be byte-identical to the piece
+                    # that was shipped — catches any nondeterminism in a
+                    # replay (hedge or takeover).  Only a replay gets here.
+                    prev = self._shipped[shard, i, bucket]
+                    if prev is not None and prev.tobytes() != piece.tobytes():
+                        raise RuntimeError(
+                            f"replay recomputed fragment ({shard}, {i}, "
+                            f"{bucket}) with different content than the "
+                            f"shipped original"
+                        )
                     continue
                 h = self.load_manager.route(
                     bucket, piece.shape[0], avoid=self._avoid_hosts(asu.node_id)
@@ -996,21 +993,16 @@ class DsmSortJob:
                 entries = [_FragEntry(shard, asu.node_id, i, b, p) for b, p in frags]
                 self._frag_log[h].extend(entries)
                 for b, p in frags:
-                    self._shipped.add((shard, i, b))
-                    if self._frag_digests is not None:
-                        from ..recovery.manifest import digest_records
-
-                        self._frag_digests[(shard, i, b)] = digest_records(p)
+                    self._shipped[shard, i, b] = p
                 net.post(
                     asu.node_id, plat.hosts[h].node_id,
                     ("frags", shard, frags, entries), n * rs, "frags",
                 )
             self._blocks_complete.add((shard, i))
-            if self.manifest is not None:
-                self.manifest.log_block(
-                    shard, i,
-                    [(b, p.shape[0]) for b, p in enumerate(pieces) if p.shape[0]],
-                )
+            self._journal.log_block(
+                shard, i,
+                [(b, p.shape[0]) for b, p in enumerate(pieces) if p.shape[0]],
+            )
         if shard not in self._eof_posted:
             yield from asu.cpu.execute(cycles=H * 16 * cpnb)
             if self._producer_fenced(owner, shard):
@@ -1021,8 +1013,7 @@ class DsmSortJob:
             # (A hedge racing the original to this point can double-post;
             # hosts track EOFs as a *set* of shard ids, so that is benign.)
             self._eof_posted.add(shard)
-            if self.manifest is not None:
-                self.manifest.log_shard_done(shard, len(blocks))
+            self._journal.log_shard_done(shard, len(blocks))
             for h in range(H):
                 net.post(
                     asu.node_id, plat.hosts[h].node_id, (_EOF, shard, None), 16,
@@ -1040,13 +1031,11 @@ class DsmSortJob:
         host = plat.hosts[h]
         D = self.params.n_asus
         beta = self.config.beta
-        # Checkpointed runs are cut at *fragment* boundaries (first buffer
-        # crossing beta records is emitted whole, fragments never split
-        # across runs): the manifest can then record a run's lineage as an
-        # exact fragment-key list, and restore coverage is exact.  Sizes
-        # stay within [beta, beta + max fragment); the unjournaled path
-        # keeps the historical exactly-beta cuts, bit-identical.
-        mani = self.manifest is not None
+        # Where a full buffer is cut is the journal's answer: exactly beta
+        # when nothing records lineage (the historical cuts, bit-identical),
+        # the whole buffer when a run's lineage must be an exact
+        # fragment-key list (:mod:`repro.dsmsort.journal`).
+        run_length = self._journal.run_length
         buffers: dict[int, list[np.ndarray]] = defaultdict(list)
         buffered: dict[int, int] = defaultdict(int)
         fkeys: dict[int, list] = defaultdict(list)
@@ -1063,8 +1052,7 @@ class DsmSortJob:
                         if buffered[bucket]:
                             batch = concat_records(buffers[bucket], self.params.schema)
                             yield from self._emit_run_ft(
-                                plat, host, h, bucket, batch, sort_cpr,
-                                fkeys=fkeys[bucket] if mani else None,
+                                plat, host, h, bucket, batch, sort_cpr, fkeys[bucket]
                             )
                     buffers.clear()
                     buffered.clear()
@@ -1098,52 +1086,35 @@ class DsmSortJob:
                     self._n_dup_frags_dropped += 1
                     continue
                 self._frags_accepted[fkey] = e
-                fresh.append((f, e))
-            if not fresh:
-                continue
-            if len(fresh) < len(frags):
-                frags = [f for f, _e in fresh]
-                entries = [e for _f, e in fresh]
+                fresh.append((f, fkey))
             if flushed:
-                for (bucket, piece), e in zip(frags, entries):
+                for (bucket, piece), fkey in fresh:
                     yield from self._emit_run_ft(
-                        plat, host, h, bucket, piece, sort_cpr,
-                        fkeys=[(e.src_d, e.block, bucket)] if mani else None,
+                        plat, host, h, bucket, piece, sort_cpr, [fkey]
                     )
                 continue
-            if mani:
-                for (bucket, piece), e in zip(frags, entries):
-                    buffers[bucket].append(piece)
-                    fkeys[bucket].append((e.src_d, e.block, bucket))
-                    buffered[bucket] += piece.shape[0]
-                    if buffered[bucket] >= beta:
-                        batch = concat_records(buffers[bucket], self.params.schema)
-                        keys = fkeys[bucket]
-                        buffers[bucket] = []
-                        fkeys[bucket] = []
-                        buffered[bucket] = 0
-                        yield from self._emit_run_ft(
-                            plat, host, h, bucket, batch, sort_cpr, fkeys=keys
-                        )
-                continue
-            for bucket, piece in frags:
+            for (bucket, piece), fkey in fresh:
                 buffers[bucket].append(piece)
+                fkeys[bucket].append(fkey)
                 buffered[bucket] += piece.shape[0]
                 while buffered[bucket] >= beta:
                     batch = concat_records(buffers[bucket], self.params.schema)
-                    run_src, rest = batch[:beta], batch[beta:]
+                    n = run_length(buffered[bucket], beta)
+                    run_src, rest = batch[:n], batch[n:]
+                    keys, fkeys[bucket] = fkeys[bucket], []
                     buffers[bucket] = [rest] if rest.shape[0] else []
                     buffered[bucket] = rest.shape[0]
                     yield from self._emit_run_ft(
-                        plat, host, h, bucket, run_src, sort_cpr
+                        plat, host, h, bucket, run_src, sort_cpr, keys
                     )
 
-    def _emit_run_ft(self, plat, host, h, bucket, batch, sort_cpr, fkeys=None):
+    def _emit_run_ft(self, plat, host, h, bucket, batch, sort_cpr, fkeys):
         """Sort one run, log its lineage, stripe it to an alive ASU.
 
-        ``fkeys`` (checkpointed runs) is the exact list of fragment keys the
-        run covers; the run gets a manifest id here, but only becomes a
-        durable journal entry when the destination ASU's write completes.
+        ``fkeys`` lists the fragment keys buffered since the last cut — for a
+        journaled run, exactly the fragments it covers; the run gets its
+        journal id in the emit, but only becomes a durable journal entry
+        when the destination ASU's write completes.
         """
         if self.view is not None and h in self._dead_hosts:
             # Membership mode: an expelled host may still be running (a cut,
@@ -1161,15 +1132,6 @@ class DsmSortJob:
         if sim.tracer is not None or sim.metrics is not None:
             self._trace_records(sim, f"host{h}.sort", batch.shape[0], dt=sim.now - t0)
         yield from self._runs.emit(host, h, bucket, run, fkeys)
-
-    def _register_run(self, h: int, bucket: int, fkeys):
-        """Manifest id for a run about to be posted (None when unjournaled);
-        called inside the durability layer's yield-free emit region."""
-        if fkeys is None or self.manifest is None:
-            return None
-        rid = self.manifest.new_rid()
-        self.manifest.register_run(rid, h, bucket, fkeys)
-        return rid
 
     def _asu_consumer_ft(self, plat: ActivePlatform, d: int):
         """Perpetual consumer: make runs durable, drop quarantined hosts'."""
@@ -1407,7 +1369,7 @@ class DsmSortJob:
             fkey = (e.src_d, e.block, e.bucket)
             if e.done or fkey in self._frags_accepted:
                 continue  # superseded, or a host holds these records
-            self._shipped.discard(fkey)
+            self._shipped.pop(fkey, None)
             self._blocks_complete.discard((e.src_d, e.block))
 
     def _undeliverable_ft(self, dst: str, tag: str, payload) -> None:
@@ -1439,11 +1401,9 @@ class DsmSortJob:
         durable run (digest-verified on load), so the job can jump straight
         to :meth:`run_pass2`.
         """
-        if self.manifest is None:
-            raise RuntimeError("restore_pass1 requires a manifest")
         from ..recovery.manifest import CheckpointError
 
-        state = self.manifest.restore_state()
+        state = self._journal.restore_state()
         if not state.pass1_done:
             raise CheckpointError(
                 "manifest does not record pass-1 completion; resume with "
@@ -1495,12 +1455,10 @@ class DsmSortJob:
         # merged (from an attempt that crashed mid-pass-2) are adopted
         # verbatim — their runs are never re-read off the ASU disks and the
         # owning host never waits on their done markers.
-        merged_restored: dict[int, np.ndarray] = {}
-        if self.manifest is not None:
-            self.manifest.bind(plat)
-            merged_restored = self.manifest.merged_buckets()
-            for bucket in sorted(merged_restored):
-                self.final_buckets[bucket].append(merged_restored[bucket])
+        self._journal.bind(plat)
+        merged_restored = self._journal.merged_buckets()
+        for bucket in sorted(merged_restored):
+            self.final_buckets[bucket].append(merged_restored[bucket])
 
         # One read per logical run (a replicated pass 1 holds up to r copies).
         read_plan = self._runs.read_plan()
@@ -1604,8 +1562,7 @@ class DsmSortJob:
                         dt=plat.sim.now - t0,
                     )
                     self.final_buckets[bucket].append(runs[0])
-                    if self.manifest is not None:
-                        self.manifest.log_bucket_merged(bucket, runs[0])
+                    self._journal.log_bucket_merged(bucket, runs[0])
 
             while n_finished < len(my_buckets):
                 msg = yield from host.recv()

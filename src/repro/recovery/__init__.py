@@ -14,7 +14,7 @@ makes *jobs* survive them:
 * :mod:`~repro.recovery.speculate` — a straggler speculator that watches
   per-replica progress rates in the metrics registry and hedges stage
   laggards with duplicate functor replicas (first-finisher-wins,
-  digest-checked, exactly-once);
+  byte-compared, exactly-once);
 * :mod:`~repro.recovery.supervisor` — :class:`JobSupervisor`: restart
   budgets with exponential backoff and the retry → re-place →
   checkpoint-restore → abort escalation ladder.

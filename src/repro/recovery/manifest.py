@@ -181,6 +181,20 @@ class RunManifest:
         """
         self._runs_meta[rid] = (int(host), int(bucket), [tuple(k) for k in frag_keys])
 
+    def new_run(self, host: int, bucket: int, frag_keys: list) -> int:
+        """Journal id for a run about to be posted, its lineage registered
+        (the engine's one call; see :mod:`repro.dsmsort.journal`)."""
+        rid = self.new_rid()
+        self.register_run(rid, host, bucket, frag_keys)
+        return rid
+
+    def run_length(self, buffered: int, beta: int) -> int:
+        """Where a host cuts a buffer that reached ``beta`` records: the
+        whole buffer.  Fragments never split across runs, so a run's lineage
+        is an exact fragment-key list and restore coverage is exact; sizes
+        stay within [beta, beta + max fragment)."""
+        return buffered
+
     def log_run_durable(self, rid: int, dest: int, payload: np.ndarray) -> None:
         """A run's disk write completed on ASU ``dest``: journal + store it."""
         meta = self._runs_meta.get(rid)
@@ -373,22 +387,36 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        if doc.get("format") != "repro.recovery.manifest/1":
-            raise CheckpointError(f"unrecognized manifest format: {doc.get('format')!r}")
-        m = cls()
-        m.entries = list(doc["entries"])
-        m._next_rid = int(doc["next_rid"])
-        for rid_s, spec in doc["payloads"].items():
-            dtype = np.dtype([(name, s) for name, s in spec["dtype"]])
-            raw = base64.b64decode(spec["data"])
-            m._payloads[int(rid_s)] = np.frombuffer(raw, dtype=dtype).copy()
-        # Rebuild the in-memory dedupe caches from the journal.
-        for e in m.entries:
-            if e["op"] == "block":
-                m._logged_blocks.add((e["shard"], e["block"]))
-            elif e["op"] == "shard":
-                m._logged_shards.add(e["shard"])
+        """Rebuild a manifest from :meth:`to_json` output.
+
+        Anything else — truncated or non-object JSON, a missing or mistyped
+        field, a payload that is not strict base64 or not a whole number of
+        records — raises :class:`CheckpointError`, never a bare parse error.
+        """
+        try:
+            doc = json.loads(text)
+            if doc.get("format") != "repro.recovery.manifest/1":
+                raise CheckpointError(
+                    f"unrecognized manifest format: {doc.get('format')!r}"
+                )
+            m = cls()
+            m.entries = list(doc["entries"])
+            m._next_rid = int(doc["next_rid"])
+            for rid_s, spec in doc["payloads"].items():
+                dtype = np.dtype([(name, s) for name, s in spec["dtype"]])
+                raw = base64.b64decode(spec["data"], validate=True)
+                m._payloads[int(rid_s)] = np.frombuffer(raw, dtype=dtype).copy()
+            # Rebuild the in-memory dedupe caches from the journal.
+            for e in m.entries:
+                if e["op"] == "block":
+                    m._logged_blocks.add((e["shard"], e["block"]))
+                elif e["op"] == "shard":
+                    m._logged_shards.add(e["shard"])
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            # JSONDecodeError and binascii.Error are ValueErrors.
+            raise CheckpointError(
+                f"malformed manifest: {type(exc).__name__}: {exc}"
+            ) from exc
         m.bytes_logged = sum(
             len(json.dumps(e, sort_keys=True, separators=(",", ":"))) + 1
             for e in m.entries

@@ -12,9 +12,9 @@ observability layer exports — no side channel) and reacts two ways:
   distribute replica is spawned on the fastest alive peer (the shard is
   mirrored there), racing the original block-by-block.  First finisher
   wins each (block, bucket) fragment — the runtime's atomic ship markers
-  dedup the loser, and in speculation mode every skipped fragment is
-  digest-checked against what the winner shipped, so a hedge can never
-  smuggle in divergent data;
+  dedup the loser, and every skipped fragment is compared byte for byte
+  against the piece the winner shipped (the marker retains it), so a hedge
+  can never smuggle in divergent data;
 * a lagging *host sorter* is flagged to the
   :class:`~repro.core.load_manager.LoadManager` as a soft steer-around
   (:meth:`mark_speculative`): new fragments prefer its peers until it

@@ -24,7 +24,7 @@ class ReplicatedRuns(RunDurability):
         self.mgr = ReplicationManager(
             config, job.params.n_asus,
             registry=job.metrics,
-            manifest=job.manifest,
+            journal=job._journal,
             tracer=job.tracer,
             job_labels=job._job_labels,
         )
@@ -63,7 +63,7 @@ class ReplicatedRuns(RunDurability):
         registration and its posts.
         """
         yield from host.cpu.execute(cycles=self._fanout_cycles(self._run_nbytes(run)))
-        rid = self.job._register_run(h, bucket, fkeys)
+        rid = self.job._journal.new_run(h, bucket, fkeys)
         key, targets = self.mgr.register_emit(h, bucket, run, rid=rid)
         if not targets:
             raise UnrecoverableJobError("no alive ASU to replicate runs onto")

@@ -28,6 +28,7 @@ from itertools import islice
 from typing import Optional
 
 from ..core.routing import pick_least_loaded
+from ..dsmsort.journal import NO_JOURNAL
 from .placement import ReplicaPlacement
 
 __all__ = ["ReplicaSet", "ReplicationConfig", "ReplicationManager"]
@@ -119,7 +120,7 @@ class ReplicationManager:
         n_asus: int,
         *,
         registry=None,
-        manifest=None,
+        journal=NO_JOURNAL,
         tracer=None,
         job_labels: Optional[dict] = None,
     ):
@@ -130,7 +131,9 @@ class ReplicationManager:
             registry = MetricsRegistry()
         self.config = config
         self.n_asus = int(n_asus)
-        self.manifest = manifest
+        #: the job's journal (:mod:`repro.dsmsort.journal`); the null side
+        #: by default, so the state machine logs without asking
+        self.journal = journal
         self.tracer = tracer
         self.placement = ReplicaPlacement(
             n_asus, seed=config.placement_seed
@@ -265,8 +268,7 @@ class ReplicationManager:
         delta = self._recount(st)
         if delta > 0 and st.rid is not None and st.journal_dest is None:
             st.journal_dest = dest
-            if self.manifest is not None:
-                self.manifest.log_run_durable(st.rid, dest, st.run)
+            self.journal.log_run_durable(st.rid, dest, st.run)
         return delta, True
 
     # -- failure paths (simulator callbacks; no yields) -----------------------
@@ -311,15 +313,14 @@ class ReplicationManager:
                 # Stranded: nothing durable, nothing in flight — the source
                 # host must emit fresh copies (its lineage holds the run).
                 self.pending_reemits.setdefault(st.src_host, []).append(key)
-        if journal_touched and self.manifest is not None:
+        if journal_touched:
             # Entries journalled at the dead ASU first die wholesale, then
             # promoted sets re-log at a survivor: latest-entry-per-rid wins,
             # so restore sees exactly the surviving copy holders.
-            self.manifest.log_purge_asu(d)
+            self.journal.log_purge_asu(d)
         for st in relog:
             st.journal_dest = min(st.copies)
-            if self.manifest is not None:
-                self.manifest.log_run_durable(st.rid, st.journal_dest, st.run)
+            self.journal.log_run_durable(st.rid, st.journal_dest, st.run)
         if promoted:
             self.n_promoted_runs += promoted
             self._c_promoted.inc(promoted)
@@ -351,8 +352,8 @@ class ReplicationManager:
             delta += self._recount(st)
             if st.rid is not None and st.journal_dest == d:
                 st.journal_dest = min(st.copies) if st.copies else None
-                if st.journal_dest is not None and self.manifest is not None:
-                    self.manifest.log_run_durable(st.rid, st.journal_dest, st.run)
+                if st.journal_dest is not None:
+                    self.journal.log_run_durable(st.rid, st.journal_dest, st.run)
             if not st.copies and not st.targets:
                 self.pending_reemits.setdefault(st.src_host, []).append(key)
         if dropped and self.tracer is not None:
@@ -422,8 +423,8 @@ class ReplicationManager:
                 self._gv_copies.add(d, -1.0)
             del self.sets[key]
         self.pending_reemits.pop(h, None)
-        if any_run and self.manifest is not None:
-            self.manifest.log_purge_host(h)
+        if any_run:
+            self.journal.log_purge_host(h)
         return delta
 
     def retarget(self, key) -> list[int]:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ConfigSolver, DSMConfig, predict_pass1
 from repro.dsmsort import DsmSortJob, adaptive_config, run_adaptive
+from repro.dsmsort.journal import NO_JOURNAL
 from repro.emulator.params import SystemParams
 from repro.faults import FaultPlan
 from repro.resilience import RetryPolicy
@@ -468,6 +469,10 @@ class TestModeMatrix:
             heartbeat_interval=0.002, heartbeat_timeout=0.008, **kw
         )
         assert (job.faults is not None) == layered
+        # The journal decision is made once, here: the caller's manifest or
+        # the shared null object — never something built per job.
+        assert (job._journal is job.manifest) == journaled
+        assert journaled or job._journal is NO_JOURNAL
         r1 = job.run_pass1()
         assert r1.completed
         # Whatever the other layers, only the reliable transport has a channel

@@ -16,7 +16,7 @@ and review the diff.
 The cells are the wall-clock ledger's (``benchmarks/perf/workloads.py``),
 re-declared here through the public API so tier-1 does not import the
 benchmark: ``frag_cell`` at full size, the ``bulk_sort`` cell at n = 2^14, and
-the ``guarded_sort`` cell at n = 2^12, fault-free, on four rungs of the
+the ``guarded_sort`` cell at n = 2^12, fault-free, on six rungs of the
 optional-layer ladder.
 
 The last case ratchets *memory* the same way — as an allocation count, not a
@@ -34,6 +34,7 @@ from repro.bench.fig9 import FIG9_GAMMA, fig9_params
 from repro.core.config import ConfigSolver
 from repro.dsmsort.runtime import DsmSortJob
 from repro.faults import FaultPlan
+from repro.recovery import RunManifest
 from repro.replica import ReplicationConfig
 
 SEED = 42
@@ -64,6 +65,12 @@ CELLS = {
     "guarded@2^12/ft": _guarded(faults=FaultPlan()),
     "guarded@2^12/reliable": _guarded(transport="reliable"),
     "guarded@2^12/r2": _guarded(replication=ReplicationConfig(r=2)),
+    # Journaled rungs (a fresh manifest per job): they pin the journal's
+    # fragment-boundary run cut and ``new_run`` ids, striped and replicated.
+    "guarded@2^12/manifest": lambda: _guarded(manifest=RunManifest())(),
+    "guarded@2^12/manifest+r2": lambda: _guarded(
+        manifest=RunManifest(), replication=ReplicationConfig(r=2)
+    )(),
 }
 
 

@@ -153,6 +153,26 @@ class TestRunManifest:
         with pytest.raises(CheckpointError, match="unrecognized manifest format"):
             RunManifest.from_json(json.dumps({"format": "bogus/9"}))
 
+    @pytest.mark.parametrize("hostile", [
+        lambda doc: json.dumps(doc)[:-7],
+        lambda doc: json.dumps({"format": doc["format"]}),
+        lambda doc: json.dumps([doc]),
+        lambda doc: json.dumps({**doc, "entries": [{"rid": 0}]}),
+        lambda doc: json.dumps({**doc, "next_rid": "x"}),
+        lambda doc: json.dumps({**doc, "payloads": {"0": {**doc["payloads"]["0"], "data": "AAAA"}}}),
+        lambda doc: json.dumps({**doc, "payloads": {"0": {**doc["payloads"]["0"], "data": "!!!"}}}),
+    ], ids=[
+        "truncated", "format-alone", "a-list", "entry-without-op", "next_rid-not-int",
+        "payload-not-whole-records", "payload-not-base64",
+    ])
+    def test_from_json_answers_hostile_input_with_checkpoint_error_only(self, hostile):
+        m = RunManifest()
+        m.log_run_durable(m.new_run(0, 0, [(0, 0, 0)]), dest=0, payload=batch([1, 2]))
+        text = m.to_json()
+        assert RunManifest.from_json(text).to_json() == text
+        with pytest.raises(CheckpointError, match="malformed manifest"):
+            RunManifest.from_json(hostile(json.loads(text)))
+
     def test_report_summarises_frontier(self):
         m = RunManifest()
         rid = m.new_rid()
