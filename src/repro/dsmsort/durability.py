@@ -175,11 +175,10 @@ class StripedRuns(RunDurability):
         yield from asu.disk_write(self._run_nbytes(run))
         if src_h in job._dead_hosts:
             return 0  # emitter died during our write; the purge ran
-        if job.view is not None:
-            try:
-                job.view.validate(asu.node_id, op="run write")
-            except StaleEpochError:
-                return 0  # fenced: this ASU was expelled while we wrote
+        try:
+            job._members.validate(asu.node_id, op="run write")
+        except StaleEpochError:
+            return 0  # fenced: this ASU was expelled while we wrote
         # Atomic: durability record (the engine's completion check follows).
         self._store(d, bucket, run, src_h)
         if len(msg.payload) > 3:

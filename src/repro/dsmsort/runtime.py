@@ -53,6 +53,7 @@ from ..util.rng import RngRegistry
 from ..util.validation import check_sorted_permutation
 from .durability import StripedRuns
 from .journal import NO_JOURNAL
+from .membership import FAIL_STOP
 from .transport import DirectTransport
 
 __all__ = ["DsmSortJob", "MODE_RULES", "Pass1Result", "Pass2Result"]
@@ -367,8 +368,6 @@ class DsmSortJob:
         #: (docs/PARTITIONS.md).  Timer mode leaves legacy runs byte-identical.
         self.detection_mode = detection_mode
         self.probe_timeout = probe_timeout
-        #: repro.membership.ViewService of the current FT pass (network mode)
-        self.view = None
         #: "direct" posts straight onto the network (the paper's lossless
         #: emulation); "reliable" runs every host<->ASU exchange through
         #: seq/ack/retransmit endpoints so injected message faults
@@ -411,7 +410,7 @@ class DsmSortJob:
         self.runs_on_asu = [[] for _ in range(self.params.n_asus)]
         self._pass1_done = False
         self._runs = StripedRuns(self)
-        self.view = None
+        self._members = FAIL_STOP
         self.load_manager = self._new_load_manager()
         plat_params = self.params
         if self.background_asu_duty > 0.0:
@@ -736,30 +735,24 @@ class DsmSortJob:
         self._n_hedged_shards = 0
         self._n_hedge_wasted_frags = 0
         self._coord_crashed = False
-        # Membership state (network detection mode; empty/idle otherwise).
-        self._fenced_asus: set[int] = set()
         #: global frag exactly-once authority: (src_d, block, bucket) -> the
         #: _FragEntry whose host actually buffered the records.  A takeover
         #: re-ships whatever its dead or expelled predecessor left in doubt
         #: (a copy may still have landed), so hosts dedup across entries.
         self._frags_accepted: dict[tuple, "_FragEntry"] = {}
-        self._n_readmitted = 0
         self._n_dup_frags_dropped = 0
         self.recovered_at: dict[str, float] = {}
         self._complete_ev = Event(plat.sim)
         self._ft_plat = plat
 
+        # The one membership decision (:mod:`repro.dsmsort.membership`): a
+        # confirmed node is dead, or — network detection — maybe alive behind
+        # a cut, so epochs fence its writes and journal appends and the
+        # engine's state it left in doubt is unwound.
         if self.detection_mode == "network":
-            # Membership view: epochs fence replica writes and manifest
-            # appends, so an expelled-but-alive node's in-flight mutations
-            # are rejected (typed) instead of silently racing the takeover.
-            from ..membership import ViewService
+            from ..membership.fencing import EpochFencing
 
-            self.view = ViewService(
-                [f"asu{d}" for d in range(D)] + [f"host{h}" for h in range(H)],
-                metrics=self.metrics,
-            )
-            self._journal.attach_view(self.view)
+            self._members = EpochFencing(self)
 
         if self.replication is not None:
             from ..replica.durability import ReplicatedRuns
@@ -798,8 +791,7 @@ class DsmSortJob:
             mode=self.detection_mode, probe_timeout=self.probe_timeout,
         )
         detector.on_failure.append(self._on_detected_ft)
-        if self.view is not None:
-            detector.on_readmit.append(self._on_readmit_ft)
+        detector.on_readmit.append(self._members.readmitted)
         self.injector, self.detector = injector, detector
         injector.arm()
         detector.start()
@@ -844,13 +836,9 @@ class DsmSortJob:
             coordinator_crashed=self._coord_crashed,
             n_hedged_shards=self._n_hedged_shards,
             n_hedge_wasted_frags=self._n_hedge_wasted_frags,
-            n_epoch_rejections=(
-                0 if self.view is None else self.view.n_rejections
-            ),
-            n_readmitted=self._n_readmitted,
             n_quarantine_holds=detector.n_quarantine_holds,
             n_dup_frags_dropped=self._n_dup_frags_dropped,
-            view_epoch=0 if self.view is None else self.view.epoch,
+            **self._members.counters(),
             **self._runs.counters(),
             **self._net.counters(),
         )
@@ -868,19 +856,6 @@ class DsmSortJob:
             h for h in range(self.params.n_hosts)
             if h not in self._dead_hosts and not healthy(src_id, f"host{h}")
         )
-
-    def _producer_fenced(self, owner: int, shard: int) -> bool:
-        """Zombie check: an expelled producer must stop shipping.
-
-        Only meaningful in membership mode — a fail-stopped producer's
-        process dies with its node, so the legacy path never observes a
-        producer that outlived its ownership.  Checked at the top of every
-        yield-free ship region, so expulsion (which lands in a simulator
-        callback, i.e. at a yield) can never split a marker from its post.
-        """
-        if self.view is None:
-            return False
-        return owner in self._fenced_asus or self._shard_owner.get(shard) != owner
 
     def _produce_shard_ft(self, plat: ActivePlatform, owner: int, shard: int, blk: int, rs: int):
         """Stream ``shard``'s input, distribute, route, ship — resumable.
@@ -915,7 +890,7 @@ class DsmSortJob:
             # untouched.  A read that arrived above is still consumed.
             if (shard, i) in self._blocks_complete:
                 continue
-            if self._producer_fenced(owner, shard):
+            if self._members.producer_fenced(owner, shard):
                 return  # expelled mid-stream: the fenced takeover owns the rest
             yield from reads.fetch(int(stripe_bytes[i]))
             t0 = plat.sim.now
@@ -965,13 +940,13 @@ class DsmSortJob:
                 # Expulsion can only land at the yields above, so this check
                 # opens the yield-free region — a zombie can never pair a
                 # marker with a post the view no longer sanctions.
-                if self._producer_fenced(owner, shard):
+                if self._members.producer_fenced(owner, shard):
                     return
-                if self.view is not None and h in self._dead_hosts:
-                    # The destination died (or was expelled) while we waited
-                    # on its window: the cancel released us, but posting now
-                    # would vanish into the cut with no dead-letter.  Reroute
-                    # the batch to a live host (quarantine already steers the
+                if self._members.must_reroute(h):
+                    # The destination was expelled while we waited on its
+                    # window: the cancel released us, but posting now would
+                    # vanish into the cut with no dead-letter.  Reroute the
+                    # batch to a live host (quarantine already steers the
                     # router away from the corpse).
                     h = self.load_manager.route(
                         frags[0][0], n, avoid=self._avoid_hosts(asu.node_id)
@@ -1005,7 +980,7 @@ class DsmSortJob:
             )
         if shard not in self._eof_posted:
             yield from asu.cpu.execute(cycles=H * 16 * cpnb)
-            if self._producer_fenced(owner, shard):
+            if self._members.producer_fenced(owner, shard):
                 return  # the takeover announces EOF under the new epoch
             # Atomic: the marker guards the whole EOF broadcast, so a crash
             # here either leaves the shard EOF-less (next takeover posts) or
@@ -1116,10 +1091,11 @@ class DsmSortJob:
         journal id in the emit, but only becomes a durable journal entry
         when the destination ASU's write completes.
         """
-        if self.view is not None and h in self._dead_hosts:
-            # Membership mode: an expelled host may still be running (a cut,
-            # not a crash).  Its records were replayed to survivors, so a
-            # zombie emit would only register sets the consumers must drop.
+        if h in self._dead_hosts:
+            # An expelled host may still be running (a cut, not a crash; a
+            # crashed host's processes died with it).  Its records were
+            # replayed to survivors, so a zombie emit would only register
+            # sets the consumers must drop.
             return
         t0 = plat.sim.now
         run = yield from host.compute(
@@ -1195,8 +1171,7 @@ class DsmSortJob:
             if d in self._dead_asus:
                 return
             self._dead_asus.add(d)
-            if self.view is not None:
-                self._fence_asu_ft(node, d, t)
+            self._members.confirmed(node, t)
             # What the node posted and never saw acknowledged has no owner
             # left to resend it: back to not-shipped, before the takeover
             # below reads the markers.
@@ -1240,11 +1215,7 @@ class DsmSortJob:
             if h in self._dead_hosts:
                 return
             self._dead_hosts.add(h)
-            if self.view is not None:
-                # Expelled hosts are fenced by the consumer-side dead-host
-                # checks (their runs drop) and never re-enlisted; the view
-                # still records the change so epochs stay honest.
-                self.view.expel(nid, t)
+            self._members.confirmed(node, t)
             # A host's unacknowledged transfers are runs, which die with it
             # (host_lost below); only the peers' side needs cancelling.
             self._net.peer_lost(nid)
@@ -1273,63 +1244,6 @@ class DsmSortJob:
                 return cand
         raise UnrecoverableJobError("no alive ASU for shard takeover")
 
-    # -- membership-mode fencing and re-admission (docs/PARTITIONS.md) --------
-    def _fence_asu_ft(self, node, d: int, t: float) -> None:
-        """Expel an ASU from the view and unwind its zombie state.
-
-        Dead or alive, the node's in-doubt ship state is unwound — every
-        fragment it shipped that no host has proven accepted, plus the EOF
-        announcements of its shards — so the fenced takeover re-produces
-        exactly the data whose delivery the cut left in doubt; the
-        host-side accepted-fragment authority dedups whichever copies did
-        land.
-        """
-        nid = node.node_id
-        if node.alive:
-            self._fenced_asus.add(d)
-        # Stop the retransmission churn into the cut.
-        self._net.fence(nid, ("frags", "eof"))
-        # Unwind in-doubt ship state from the producer-side retention log —
-        # a cut leaves even acknowledged-looking history in doubt, so the
-        # source is every fragment this node shipped, not just the transfers
-        # the transport still holds unacknowledged.
-        for entries in self._frag_log.values():
-            self._unship(e for e in entries if e.src_node == nid)
-        # Re-announce EOF for every shard the node owned: its broadcasts may
-        # have died in the cut, and hosts track EOFs as a set of shard ids,
-        # so a duplicate announcement is benign while a missing one wedges
-        # every host's flush forever.
-        for shard, owner in self._shard_owner.items():
-            if owner == d:
-                self._eof_posted.discard(shard)
-        self.view.expel(nid, t)
-
-    def _on_readmit_ft(self, node, t: float) -> None:
-        """A confirmed node's heartbeats resumed: re-admit under a new epoch.
-
-        The fresh admission epoch outranks everything the node stamped while
-        expelled, so its queued zombie writes stay rejected forever; from
-        here on it is a valid replica target again.  Physical run copies it
-        kept through the expulsion are offered back one by one with content
-        digests — verified copies are re-adopted (counting toward the
-        durable total and pass-2 read steering), divergent ones refused and
-        left to anti-entropy.  Expelled *hosts* rejoin the view only: their
-        buffered state was replayed to survivors at expulsion, so
-        re-enlisting them would double-count.
-        """
-        nid = node.node_id
-        self.view.admit(nid, t)
-        self._n_readmitted += 1
-        self._net.peer_back(nid)
-        if not nid.startswith("asu"):
-            return
-        d = node.index
-        self._dead_asus.discard(d)
-        self._fenced_asus.discard(d)
-        delta = self._runs.asu_readmitted(d)
-        if delta:
-            self._credit_durable(delta)
-
     def _replay_frag_entry(self, plat: ActivePlatform, e: _FragEntry) -> None:
         """Re-route one retained fragment to a surviving host.
 
@@ -1348,9 +1262,7 @@ class DsmSortJob:
         # If the retaining producer died (or was expelled into a cut), the
         # transport names a surviving member to replay from (hosts key
         # fragments by the payload's shard id, not the wire-level source).
-        src = self._net.sender_for(
-            e.src_node, lambda nid: self.view is None or self.view.is_member(nid)
-        )
+        src = self._net.sender_for(e.src_node, self._members.is_member)
         self._net.post(
             src, plat.hosts[h2].node_id,
             ("frags", e.src_d, [(e.bucket, e.piece)], [ne]), n * rs, "frags",

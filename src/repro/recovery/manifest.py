@@ -44,6 +44,19 @@ import numpy as np
 
 __all__ = ["RunManifest", "RestoredState", "CheckpointError", "digest_records"]
 
+#: the fields every journal entry of each ``op`` carries, checked on load so a
+#: hollow entry fails in :meth:`RunManifest.from_json`, not mid-restore.  A
+#: ``run`` entry may also carry the ``epoch`` its view accepted it under.
+_ENTRY_FIELDS = {
+    "run": frozenset({"rid", "host", "bucket", "dest", "n", "digest", "frags"}),
+    "block": frozenset({"shard", "block", "frags"}),
+    "shard": frozenset({"shard", "n_blocks"}),
+    "purge_asu": frozenset({"d"}),
+    "purge_host": frozenset({"h"}),
+    "pass1": frozenset({"makespan"}),
+    "bucket": frozenset({"rid", "bucket", "n", "digest"}),
+}
+
 
 class CheckpointError(RuntimeError):
     """A manifest invariant failed (digest mismatch, missing payload, ...)."""
@@ -390,8 +403,9 @@ class RunManifest:
         """Rebuild a manifest from :meth:`to_json` output.
 
         Anything else — truncated or non-object JSON, a missing or mistyped
-        field, a payload that is not strict base64 or not a whole number of
-        records — raises :class:`CheckpointError`, never a bare parse error.
+        field, an entry of unknown ``op`` or without its op's fields, a
+        payload that is not strict base64 or not a whole number of records —
+        raises :class:`CheckpointError`, never a bare parse error.
         """
         try:
             doc = json.loads(text)
@@ -408,9 +422,17 @@ class RunManifest:
                 m._payloads[int(rid_s)] = np.frombuffer(raw, dtype=dtype).copy()
             # Rebuild the in-memory dedupe caches from the journal.
             for e in m.entries:
-                if e["op"] == "block":
+                op = e["op"]
+                if op not in _ENTRY_FIELDS:
+                    raise CheckpointError(f"malformed manifest: unknown entry op {op!r}")
+                missing = sorted(_ENTRY_FIELDS[op] - e.keys())
+                if missing:
+                    raise CheckpointError(
+                        f"malformed manifest: {op!r} entry lacks {', '.join(missing)}"
+                    )
+                if op == "block":
                     m._logged_blocks.add((e["shard"], e["block"]))
-                elif e["op"] == "shard":
+                elif op == "shard":
                     m._logged_shards.add(e["shard"])
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             # JSONDecodeError and binascii.Error are ValueErrors.

@@ -28,7 +28,7 @@ class ReplicatedRuns(RunDurability):
             tracer=job.tracer,
             job_labels=job._job_labels,
         )
-        self.mgr.view = job.view
+        self.mgr.members = job._members
         #: per-ASU (key, digest) snapshots taken at expulsion, offered back
         #: through ReplicationManager.readopt_copy on re-admission
         self._readmit_stash: dict[int, list] = {}
@@ -114,9 +114,9 @@ class ReplicatedRuns(RunDurability):
         if st is None or (st.src_host >= 0 and st.src_host in dead_hosts):
             return 0  # the set died during our write; its purge already ran
         # Atomic: durability record (the engine's completion check follows).
-        # With a view attached, the manager validates this ASU's epoch
-        # first: a copy landing here after our expulsion is the typed
-        # split-brain rejection the partition sweep asserts on.
+        # The manager validates this ASU's epoch first: under epoch fencing
+        # a copy landing here after our expulsion is the typed split-brain
+        # rejection the partition sweep asserts on.
         try:
             delta, fresh = mgr.copy_durable(key, d)
         except StaleEpochError:

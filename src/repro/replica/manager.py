@@ -29,6 +29,7 @@ from typing import Optional
 
 from ..core.routing import pick_least_loaded
 from ..dsmsort.journal import NO_JOURNAL
+from ..dsmsort.membership import FAIL_STOP
 from .placement import ReplicaPlacement
 
 __all__ = ["ReplicaSet", "ReplicationConfig", "ReplicationManager"]
@@ -141,9 +142,9 @@ class ReplicationManager:
         self.sets: dict[tuple, ReplicaSet] = {}
         self._dead: set[int] = set()
         self._seq = 0
-        #: membership view fencing replica writes (docs/PARTITIONS.md), set
-        #: by the owner; None = fail-stop trust
-        self.view = None
+        #: the job's membership (:mod:`repro.dsmsort.membership`) fencing
+        #: replica writes, set by the owner; fail-stop trust by default
+        self.members = FAIL_STOP
         labels = job_labels or {}
         self._gv_copies = registry.gauge_vector(
             "repro_replica_copies", n_asus, index_label="asu", **labels
@@ -245,14 +246,13 @@ class ReplicationManager:
         satisfied), and whether this copy is new at ``dest`` (the caller
         appends the physical run exactly once per holder).
 
-        With a view attached, the write is fenced: a ``dest`` outside the
-        current membership (or holding a stale admission token) raises
-        :class:`~repro.faults.errors.StaleEpochError` — the typed rejection
-        the partition story depends on, replacing the silent no-op that the
-        fail-stop model could afford.
+        The write is fenced by the membership: under epoch fencing a
+        ``dest`` outside the current view (or holding a stale admission
+        token) raises :class:`~repro.faults.errors.StaleEpochError` — the
+        typed rejection the partition story depends on, replacing the silent
+        no-op that the fail-stop model can afford.
         """
-        if self.view is not None:
-            self.view.validate(f"asu{dest}", op="replica write")
+        self.members.validate(f"asu{dest}", op="replica write")
         st = self.sets.get(key)
         if st is None or dest in self._dead:
             return 0, False

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ConfigSolver, DSMConfig, predict_pass1
 from repro.dsmsort import DsmSortJob, adaptive_config, run_adaptive
 from repro.dsmsort.journal import NO_JOURNAL
+from repro.dsmsort.membership import FAIL_STOP
 from repro.emulator.params import SystemParams
 from repro.faults import FaultPlan
 from repro.resilience import RetryPolicy
@@ -475,6 +476,9 @@ class TestModeMatrix:
         assert journaled or job._journal is NO_JOURNAL
         r1 = job.run_pass1()
         assert r1.completed
+        # So is the membership decision, once per pass: epoch fencing exactly
+        # when detection travels the network, else the shared fail-stop side.
+        assert (job._members is FAIL_STOP) == (detection == "timer")
         # Whatever the other layers, only the reliable transport has a channel
         # to report on (and fault-free, neither trips a breaker).
         assert (r1.channel_stats is None) == (transport == "direct")

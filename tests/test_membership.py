@@ -3,17 +3,25 @@ epoch-fenced membership, and split-brain-safe takeover.
 
 Covers the repro.membership view service, the partition/heal fault kinds and
 their network-layer enforcement, the network-mode FailureDetector (SWIM-style
-indirect probing, crashed-vs-unreachable, re-admission), and one end-to-end
-partitioned sort whose output must be byte-identical to the fault-free run.
+indirect probing, crashed-vs-unreachable, re-admission), one end-to-end
+partitioned sort whose output must be byte-identical to the fault-free run,
+and the membership seam the FT engine calls (repro.dsmsort.membership /
+repro.membership.fencing).
 """
 
 import hashlib
+import inspect
+import json
+import re
 
 import numpy as np
 import pytest
 
+from repro.bench.report import canonical_json
+from repro.bench.soak import Reference, _partition_grid, _partition_point
 from repro.core import DSMConfig
 from repro.dsmsort import DsmSortJob
+from repro.dsmsort.membership import FAIL_STOP, FailStop
 from repro.emulator.params import SystemParams
 from repro.emulator.platform import ActivePlatform
 from repro.faults import (
@@ -31,10 +39,16 @@ from repro.faults import (
 from repro.faults.detector import ALIVE, CONFIRMED, SUSPECTED, UNREACHABLE
 from repro.faults.errors import StaleEpochError
 from repro.membership import ViewService
+from repro.membership.fencing import EpochFencing
 from repro.metrics import MetricsRegistry
 from repro.replica import ReplicationConfig
 from repro.resilience.channel import RetryPolicy
+from repro.resilience.chaos import _chaos_case
 from repro.util.records import concat_records, sort_records
+
+from .test_transport import SRC, _public_callables
+
+BASELINE = SRC.parents[1] / "benchmarks" / "baseline"
 
 
 def small_params(**over):
@@ -529,3 +543,79 @@ class TestEndToEndPartition:
             )
 
         assert one() == one()
+
+
+# ---------------------------------------------------------------------------
+# the membership seam: one decision per FT pass, no branch after it
+# ---------------------------------------------------------------------------
+SEAM = {
+    "confirmed", "readmitted", "producer_fenced", "must_reroute", "validate",
+    "is_member", "counters",
+}
+MEMBERSHIP_FORKS = re.compile(
+    r"view is (not )?None|self\.view\b|job\.view\b|_fenced_asus|_fence_asu_ft"
+    r"|_on_readmit_ft|_producer_fenced"
+)
+
+
+class TestMembershipSeam:
+    def test_nothing_in_the_engine_asks_which_membership_it_holds(self):
+        files = ["dsmsort/runtime.py", "dsmsort/durability.py",
+                 *sorted(f"replica/{p.name}" for p in (SRC / "replica").glob("*.py"))]
+        hits = [
+            f"{rel}:{i}: {line.strip()}"
+            for rel in files
+            for i, line in enumerate((SRC / rel).read_text().splitlines(), 1)
+            if MEMBERSHIP_FORKS.search(line)
+        ]
+        assert not hits, "\n".join(hits)
+
+    def test_the_engine_reads_the_detection_mode_at_one_build_site(self):
+        init = inspect.getsource(DsmSortJob.__init__)
+        methods = inspect.getsource(DsmSortJob).replace(init, "")
+        assert methods.count("detection_mode ==") == 1
+        assert 'self.detection_mode == "network"' in inspect.getsource(
+            DsmSortJob._run_pass1_ft
+        )
+
+    def test_fail_stop_answers_every_seam_call_as_fencing_does(self):
+        fail_stop, fencing = _public_callables(FailStop), _public_callables(EpochFencing)
+        assert set(fail_stop) == SEAM
+        assert fail_stop == {name: fencing[name] for name in SEAM}
+
+    def test_fail_stop_is_stateless_and_fences_nothing(self):
+        assert FailStop.__slots__ == () and not hasattr(FAIL_STOP, "__dict__")
+        assert FAIL_STOP.validate("asu0", op="run write") is None
+        assert FAIL_STOP.is_member("asu0")
+        assert not FAIL_STOP.producer_fenced(1, 0) and not FAIL_STOP.must_reroute(0)
+        assert FAIL_STOP.counters() == {
+            "n_epoch_rejections": 0, "n_readmitted": 0, "view_epoch": 0,
+        }
+
+
+class TestMustReroutePins:
+    """The one policy the two sides answer differently, pinned on the golden
+    row each answer decides: a fragment batch whose destination host was
+    confirmed while its producer waited on the window or CPU."""
+
+    def test_fail_stop_lets_the_dead_letter_replay_it(self):
+        # Rerouting here as well moves this row (replays, retransmits,
+        # breaker trips, duplicates dropped and the makespan all change).
+        golden = json.loads((BASELINE / "SWEEP_chaos.json").read_text())
+        row = next(c for c in golden["cases"] if c["app"] == "dsmsort" and c["seed"] == 10)
+        case = _chaos_case((
+            "dsmsort", 10, golden["n_records"], golden["baselines"]["dsmsort"],
+            golden["amp_bound"],
+        ))
+        assert canonical_json(case) == canonical_json(row)
+
+    def test_fencing_reroutes_what_a_cut_would_swallow(self):
+        # Posting into the cut instead moves this row's makespan.
+        golden = json.loads((BASELINE / "SWEEP_partition.json").read_text())
+        ref = Reference(
+            golden["n_records"], golden["seed"], golden["t0"], golden["reference_sha256"]
+        )
+        point = _partition_grid(ref, 1)[35]
+        assert point == ((), (1,), 0.5, "in", True)
+        case = _partition_point((ref, point))
+        assert canonical_json(case) == canonical_json(golden["cases"][35])

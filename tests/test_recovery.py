@@ -161,9 +161,15 @@ class TestRunManifest:
         lambda doc: json.dumps({**doc, "next_rid": "x"}),
         lambda doc: json.dumps({**doc, "payloads": {"0": {**doc["payloads"]["0"], "data": "AAAA"}}}),
         lambda doc: json.dumps({**doc, "payloads": {"0": {**doc["payloads"]["0"], "data": "!!!"}}}),
+        lambda doc: json.dumps({**doc, "entries": [{"op": "run"}]}),
+        lambda doc: json.dumps({**doc, "entries": [{"op": "bucket"}]}),
+        lambda doc: json.dumps({**doc, "entries": [{"op": "pass1"}]}),
+        lambda doc: json.dumps({**doc, "entries": [*doc["entries"], {"op": "purge_asu"}]}),
+        lambda doc: json.dumps({**doc, "entries": [{"op": "nosuch"}]}),
     ], ids=[
         "truncated", "format-alone", "a-list", "entry-without-op", "next_rid-not-int",
-        "payload-not-whole-records", "payload-not-base64",
+        "payload-not-whole-records", "payload-not-base64", "hollow-run",
+        "hollow-bucket", "hollow-pass1", "hollow-purge_asu", "unknown-op",
     ])
     def test_from_json_answers_hostile_input_with_checkpoint_error_only(self, hostile):
         m = RunManifest()
@@ -172,6 +178,16 @@ class TestRunManifest:
         assert RunManifest.from_json(text).to_json() == text
         with pytest.raises(CheckpointError, match="malformed manifest"):
             RunManifest.from_json(hostile(json.loads(text)))
+
+    def test_from_json_keeps_the_epoch_a_fenced_run_entry_carries(self):
+        from repro.membership import ViewService
+
+        m = RunManifest()
+        m.attach_view(ViewService(["asu0"]))
+        m.log_run_durable(m.new_run(0, 0, [(0, 0, 0)]), dest=0, payload=batch([1, 2]))
+        assert m.entries[-1]["epoch"] == 1
+        text = m.to_json()
+        assert RunManifest.from_json(text).to_json() == text
 
     def test_report_summarises_frontier(self):
         m = RunManifest()
