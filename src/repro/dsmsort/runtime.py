@@ -41,7 +41,7 @@ from ..emulator.params import SystemParams
 from ..emulator.platform import ActivePlatform
 from ..faults.detector import FailureDetector
 from ..faults.errors import UnrecoverableJobError
-from ..faults.injector import MESSAGE_FAULT_KINDS, FaultPlan, Injector
+from ..faults.injector import LOSSY_FAULT_KINDS, FaultPlan, Injector
 from ..faults.report import FaultReport
 from ..functors.blocksort import BlockSortFunctor
 from ..functors.distribute import DistributeFunctor
@@ -158,8 +158,6 @@ class Pass2Result:
     n_restored_buckets: int = 0
 
 
-_LOSSY_KINDS = frozenset({*MESSAGE_FAULT_KINDS, "disk_fault", "partition"})
-
 #: The legal/illegal mode matrix (transport x detection x replication x
 #: speculation x manifest, plus what the fault plan injects) as ordered
 #: ``(name, rejects, message)`` rules: ``rejects(m)`` returns a truthy
@@ -177,7 +175,7 @@ MODE_RULES = (
      "transport must be 'direct' or 'reliable', got {m.transport!r}"),
     ("lossy-needs-reliable",
      lambda m: m.faults is not None and m.transport == "direct"
-     and sorted(m.faults.kinds() & _LOSSY_KINDS),
+     and sorted(m.faults.kinds() & LOSSY_FAULT_KINDS),
      "fault plan injects {hit} but transport='direct' cannot mask message "
      "loss or transient I/O errors; use transport='reliable'"),
     ("retry-policy-needs-reliable",

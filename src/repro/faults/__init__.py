@@ -20,7 +20,9 @@ the DSM-Sort runtime re-runs lost run-formation work
 from .detector import FailureDetector
 from .errors import UnrecoverableJobError
 from .injector import (
+    CRASH_FAULT_KINDS,
     FAULT_KINDS,
+    LOSSY_FAULT_KINDS,
     MESSAGE_FAULT_KINDS,
     Fault,
     FaultKind,
@@ -29,6 +31,7 @@ from .injector import (
     RandomFaultModel,
     corrupt_msg,
     crash_asu,
+    crash_coordinator,
     crash_host,
     degrade_asu,
     degrade_host,
@@ -36,14 +39,12 @@ from .injector import (
     disk_fault,
     drop_msg,
     dup_msg,
-    fault_kinds,
     heal,
     indices_of,
     link_flap,
     lose_replica,
     mask_of,
     partition,
-    register_fault_kind,
 )
 from .report import FaultReport
 
@@ -58,10 +59,11 @@ __all__ = [
     "UnrecoverableJobError",
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
-    "register_fault_kind",
-    "fault_kinds",
+    "CRASH_FAULT_KINDS",
+    "LOSSY_FAULT_KINDS",
     "crash_asu",
     "crash_host",
+    "crash_coordinator",
     "degrade_asu",
     "degrade_host",
     "link_flap",

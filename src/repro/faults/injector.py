@@ -7,10 +7,9 @@ disk errors — and an :class:`Injector` arms the plan against an
 simulator callbacks at their scheduled virtual times, so the same plan against
 the same workload and seed reproduces bit-identical runs.
 
-Fault kinds live in a registry (:data:`FAULT_KINDS`): each kind carries its
-own field validation, target validation, and description, and new kinds (such
-as the message/disk kinds used by :mod:`repro.resilience`) register themselves
-via :func:`register_fault_kind` instead of patching a module-level tuple.
+Fault kinds form one closed table (:data:`FAULT_KINDS`): each row says what
+the kind targets, how it is checked and described, and whether it is a
+fail-stop or lossy.  Every other list of kinds is derived from that table.
 
 :class:`RandomFaultModel` draws a plan stochastically (exponential
 inter-arrival, MTTF per device class) from a seeded generator, for soak-style
@@ -19,8 +18,11 @@ testing where the fault schedule itself is part of the experiment seed.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -36,10 +38,10 @@ __all__ = [
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
     "CRASH_FAULT_KINDS",
-    "register_fault_kind",
-    "fault_kinds",
+    "LOSSY_FAULT_KINDS",
     "crash_asu",
     "crash_host",
+    "crash_coordinator",
     "degrade_asu",
     "degrade_host",
     "link_flap",
@@ -55,57 +57,13 @@ __all__ = [
     "indices_of",
 ]
 
-
-@dataclass(frozen=True)
-class FaultKind:
-    """A registered fault kind: per-kind validation and description hooks.
-
-    ``validate(fault)`` checks field invariants at construction time;
-    ``validate_targets(fault, params)`` checks the targeted devices exist
-    (called by :meth:`FaultPlan.validate`); ``describe(fault)`` renders the
-    human-readable summary used in traces and error messages.
-    """
-
-    name: str
-    validate: Callable[["Fault"], None]
-    validate_targets: Callable[["Fault", SystemParams], None]
-    describe: Callable[["Fault"], str]
-
-
-#: registry of recognised fault kinds, keyed by name
-FAULT_KINDS: dict[str, FaultKind] = {}
-
-#: kinds that perturb individual host<->ASU messages (handled by the network)
+#: kinds that perturb individual host<->ASU messages (the network's four
+#: per-link fault windows)
 MESSAGE_FAULT_KINDS = ("drop_msg", "dup_msg", "delay_msg", "corrupt_msg")
 
-
-def register_fault_kind(
-    name: str,
-    validate: Optional[Callable[["Fault"], None]] = None,
-    validate_targets: Optional[Callable[["Fault", SystemParams], None]] = None,
-    describe: Optional[Callable[["Fault"], str]] = None,
-) -> FaultKind:
-    """Register a new fault kind; returns the :class:`FaultKind` spec.
-
-    Registration makes the kind constructible via :class:`Fault` and valid in
-    any :class:`FaultPlan`.  Firing semantics for custom kinds are up to the
-    caller (subclass :class:`Injector` or handle them in ``on_fault``).
-    """
-    if name in FAULT_KINDS:
-        raise ValueError(f"fault kind {name!r} already registered")
-    spec = FaultKind(
-        name=name,
-        validate=validate or (lambda f: None),
-        validate_targets=validate_targets or (lambda f, p: None),
-        describe=describe or (lambda f: f"t={f.t:.3f} {name} #{f.index}"),
-    )
-    FAULT_KINDS[name] = spec
-    return spec
-
-
-def fault_kinds() -> tuple[str, ...]:
-    """All registered kind names, sorted (for error messages and docs)."""
-    return tuple(sorted(FAULT_KINDS))
+#: ``factor`` encoding for partition asymmetry (the Fault dataclass is frozen,
+#: so the cut direction rides in an existing numeric field)
+PARTITION_MODES = {0.0: "both", 1.0: "out", 2.0: "in"}
 
 
 @dataclass(frozen=True, order=True)
@@ -128,15 +86,22 @@ class Fault:
     extra: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        spec = FAULT_KINDS.get(self.kind)
-        if spec is None:
+        row = FAULT_KINDS.get(self.kind)
+        if row is None:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; registered kinds: "
-                f"{', '.join(fault_kinds())}"
+                f"unknown fault kind {self.kind!r}; known kinds: "
+                f"{', '.join(sorted(FAULT_KINDS))}"
             )
-        if self.t < 0:
-            raise ValueError("fault time must be nonnegative")
-        spec.validate(self)
+        try:
+            operator.index(self.index), operator.index(self.peer)
+        except TypeError:
+            raise ValueError(f"{self.kind} index and peer must be integers, got "
+                             f"{self.index!r} and {self.peer!r}") from None
+        if not (all(map(math.isfinite, (self.t, self.duration, self.extra))) and self.t >= 0):
+            raise ValueError(f"{self.kind} needs a finite nonnegative time and a finite "
+                             f"duration and extra, got t={self.t!r}, "
+                             f"duration={self.duration!r}, extra={self.extra!r}")
+        row.check(self)
         if self.duration < 0:
             # Kinds with their own duration rule reject this above; this
             # catches windowless kinds handed an end-before-start window.
@@ -147,133 +112,6 @@ class Fault:
 
     def describe(self) -> str:
         return FAULT_KINDS[self.kind].describe(self)
-
-
-# -- built-in kind registration ------------------------------------------------
-def _check_duration(f: Fault) -> None:
-    if f.duration <= 0:
-        raise ValueError(f"{f.kind} needs a positive duration")
-
-
-def _check_degrade(f: Fault) -> None:
-    _check_duration(f)
-    if not (0 < f.factor < 1):
-        raise ValueError("degrade factor must be in (0, 1)")
-
-
-def _check_peered(f: Fault) -> None:
-    _check_duration(f)
-    if f.peer < 0:
-        raise ValueError(f"{f.kind} needs a peer (ASU index)")
-
-
-def _check_delay(f: Fault) -> None:
-    _check_peered(f)
-    if f.extra <= 0:
-        raise ValueError("delay_msg needs a positive extra delay")
-
-
-def _targets_asu(f: Fault, p: SystemParams) -> None:
-    if not (0 <= f.index < p.n_asus):
-        raise ValueError(f"{f.describe()}: no such ASU (D={p.n_asus})")
-
-
-def _targets_host(f: Fault, p: SystemParams) -> None:
-    if not (0 <= f.index < p.n_hosts):
-        raise ValueError(f"{f.describe()}: no such host (H={p.n_hosts})")
-
-
-def _targets_host_asu_pair(f: Fault, p: SystemParams) -> None:
-    _targets_host(f, p)
-    if not (0 <= f.peer < p.n_asus):
-        raise ValueError(f"{f.describe()}: no such ASU (D={p.n_asus})")
-
-
-def _describe_degrade(dev: str) -> Callable[[Fault], str]:
-    return lambda f: (
-        f"t={f.t:.3f} degrade {dev}{f.index} x{f.factor:.2f} "
-        f"for {f.duration:.3f}s"
-    )
-
-
-def _describe_msg(verb: str) -> Callable[[Fault], str]:
-    return lambda f: (
-        f"t={f.t:.3f} {verb} host{f.index}<->asu{f.peer} for {f.duration:.3f}s"
-    )
-
-
-register_fault_kind(
-    "crash_asu",
-    validate_targets=_targets_asu,
-    describe=lambda f: f"t={f.t:.3f} crash asu{f.index}",
-)
-register_fault_kind(
-    "crash_host",
-    validate_targets=_targets_host,
-    describe=lambda f: f"t={f.t:.3f} crash host{f.index}",
-)
-register_fault_kind(
-    "degrade_asu",
-    validate=_check_degrade,
-    validate_targets=_targets_asu,
-    describe=_describe_degrade("asu"),
-)
-register_fault_kind(
-    "degrade_host",
-    validate=_check_degrade,
-    validate_targets=_targets_host,
-    describe=_describe_degrade("host"),
-)
-register_fault_kind(
-    "link_flap",
-    validate=_check_peered,
-    validate_targets=_targets_host_asu_pair,
-    describe=_describe_msg("flap"),
-)
-register_fault_kind(
-    "drop_msg",
-    validate=_check_peered,
-    validate_targets=_targets_host_asu_pair,
-    describe=_describe_msg("drop-msgs"),
-)
-register_fault_kind(
-    "dup_msg",
-    validate=_check_peered,
-    validate_targets=_targets_host_asu_pair,
-    describe=_describe_msg("dup-msgs"),
-)
-register_fault_kind(
-    "delay_msg",
-    validate=_check_delay,
-    validate_targets=_targets_host_asu_pair,
-    describe=lambda f: (
-        f"t={f.t:.3f} delay-msgs host{f.index}<->asu{f.peer} "
-        f"+{f.extra:.4f}s for {f.duration:.3f}s"
-    ),
-)
-register_fault_kind(
-    "corrupt_msg",
-    validate=_check_peered,
-    validate_targets=_targets_host_asu_pair,
-    describe=_describe_msg("corrupt-msgs"),
-)
-register_fault_kind(
-    "disk_fault",
-    validate=_check_duration,
-    validate_targets=_targets_asu,
-    describe=lambda f: f"t={f.t:.3f} disk-fault asu{f.index} for {f.duration:.3f}s",
-)
-register_fault_kind(
-    "lose_replica",
-    validate_targets=_targets_asu,
-    describe=lambda f: f"t={f.t:.3f} lose-replica asu{f.index}",
-)
-
-
-# -- partition kinds -----------------------------------------------------------
-#: ``factor`` encoding for partition asymmetry (the Fault dataclass is frozen,
-#: so the cut direction rides in an existing numeric field)
-PARTITION_MODES = {0.0: "both", 1.0: "out", 2.0: "in"}
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -297,6 +135,30 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# -- per-kind checks and descriptions -------------------------------------------
+def _check_duration(f: Fault) -> None:
+    if f.duration <= 0:
+        raise ValueError(f"{f.kind} needs a positive duration")
+
+
+def _check_degrade(f: Fault) -> None:
+    _check_duration(f)
+    if not (0 < f.factor < 1):
+        raise ValueError("degrade factor must be in (0, 1)")
+
+
+def _check_peered(f: Fault) -> None:
+    _check_duration(f)
+    if f.peer < 0:
+        raise ValueError(f"{f.kind} needs a peer (ASU index)")
+
+
+def _check_delay(f: Fault) -> None:
+    _check_peered(f)
+    if f.extra <= 0:
+        raise ValueError("delay_msg needs a positive extra delay")
+
+
 def _check_partition(f: Fault) -> None:
     _check_duration(f)
     if f.index < 0 or f.peer < 0:
@@ -311,15 +173,30 @@ def _check_partition(f: Fault) -> None:
         )
 
 
-def _targets_partition(f: Fault, p: SystemParams) -> None:
-    if f.index >> p.n_asus:
-        raise ValueError(f"{f.describe()}: ASU mask exceeds D={p.n_asus}")
-    if f.peer >> p.n_hosts:
-        raise ValueError(f"{f.describe()}: host mask exceeds H={p.n_hosts}")
-    if indices_of(f.index) == tuple(range(p.n_asus)) and \
-            indices_of(f.peer) == tuple(range(p.n_hosts)):
-        raise ValueError(f"{f.describe()}: the minority group is the whole "
-                         f"platform — nothing is on the other side of the cut")
+def _check_heal(f: Fault) -> None:
+    if f.index != 0 or f.peer not in (-1, 0):
+        raise ValueError("heal takes no target (it ends every active cut)")
+
+
+def _check_coordinator(f: Fault) -> None:
+    if f.index != 0:
+        raise ValueError(
+            "crash_coordinator targets the (single) job coordinator; index "
+            f"must be 0, got {f.index}"
+        )
+
+
+def _describe_degrade(dev: str) -> Callable[[Fault], str]:
+    return lambda f: (
+        f"t={f.t:.3f} degrade {dev}{f.index} x{f.factor:.2f} "
+        f"for {f.duration:.3f}s"
+    )
+
+
+def _describe_msg(verb: str) -> Callable[[Fault], str]:
+    return lambda f: (
+        f"t={f.t:.3f} {verb} host{f.index}<->asu{f.peer} for {f.duration:.3f}s"
+    )
 
 
 def _describe_partition(f: Fault) -> str:
@@ -330,22 +207,78 @@ def _describe_partition(f: Fault) -> str:
             f"for {f.duration:.3f}s")
 
 
-def _check_heal(f: Fault) -> None:
-    if f.index != 0 or f.peer not in (-1, 0):
-        raise ValueError("heal takes no target (it ends every active cut)")
+# -- the table -----------------------------------------------------------------
+@dataclass(frozen=True)
+class FaultKind:
+    """One row of :data:`FAULT_KINDS`: everything the code knows about a kind.
+
+    ``target`` names what ``index``/``peer`` address: ``"asu"`` / ``"host"``
+    (a device index), ``"link"`` (host index, ASU ``peer``), ``"cut"`` (ASU
+    mask, host mask) or ``"job"`` (the coordinator; no platform device).
+    ``check(fault)`` rejects bad fields at construction; ``describe(fault)``
+    renders the summary used in traces and errors.  ``crash`` marks a
+    permanent fail-stop; ``lossy`` marks a kind that loses data in flight or
+    at rest, which only the reliable transport can mask.
+    """
+
+    target: str
+    describe: Callable[[Fault], str]
+    check: Callable[[Fault], None] = lambda f: None
+    crash: bool = False
+    lossy: bool = False
 
 
-register_fault_kind(
-    "partition",
-    validate=_check_partition,
-    validate_targets=_targets_partition,
-    describe=_describe_partition,
-)
-register_fault_kind(
-    "heal",
-    validate=_check_heal,
-    describe=lambda f: f"t={f.t:.3f} heal (end all partitions)",
-)
+#: the closed table of fault kinds, keyed by name; read-only
+FAULT_KINDS: Mapping[str, FaultKind] = MappingProxyType({
+    "crash_asu": FaultKind("asu", lambda f: f"t={f.t:.3f} crash asu{f.index}", crash=True),
+    "crash_host": FaultKind("host", lambda f: f"t={f.t:.3f} crash host{f.index}", crash=True),
+    "crash_coordinator": FaultKind(
+        "job", lambda f: f"t={f.t:.3f} crash_coordinator", _check_coordinator, crash=True),
+    "degrade_asu": FaultKind("asu", _describe_degrade("asu"), _check_degrade),
+    "degrade_host": FaultKind("host", _describe_degrade("host"), _check_degrade),
+    "link_flap": FaultKind("link", _describe_msg("flap"), _check_peered),
+    "drop_msg": FaultKind("link", _describe_msg("drop-msgs"), _check_peered, lossy=True),
+    "dup_msg": FaultKind("link", _describe_msg("dup-msgs"), _check_peered, lossy=True),
+    "delay_msg": FaultKind(
+        "link",
+        lambda f: (f"t={f.t:.3f} delay-msgs host{f.index}<->asu{f.peer} "
+                   f"+{f.extra:.4f}s for {f.duration:.3f}s"),
+        _check_delay, lossy=True),
+    "corrupt_msg": FaultKind("link", _describe_msg("corrupt-msgs"), _check_peered, lossy=True),
+    "disk_fault": FaultKind(
+        "asu", lambda f: f"t={f.t:.3f} disk-fault asu{f.index} for {f.duration:.3f}s",
+        _check_duration, lossy=True),
+    "lose_replica": FaultKind("asu", lambda f: f"t={f.t:.3f} lose-replica asu{f.index}"),
+    "partition": FaultKind("cut", _describe_partition, _check_partition, lossy=True),
+    "heal": FaultKind("cut", lambda f: f"t={f.t:.3f} heal (end all partitions)", _check_heal),
+})
+
+#: kinds that permanently fail-stop their target; two of these against the
+#: same device can never both fire (the first leaves nothing to kill), so a
+#: plan containing such a pair is a scheduling bug, not a harsher schedule.
+CRASH_FAULT_KINDS = frozenset(k for k, row in FAULT_KINDS.items() if row.crash)
+
+#: kinds whose loss only the reliable transport can mask
+LOSSY_FAULT_KINDS = frozenset(k for k, row in FAULT_KINDS.items() if row.lossy)
+
+
+def _check_targets(f: Fault, p: SystemParams) -> None:
+    """Reject a fault whose target does not exist on ``p``'s platform."""
+    target = FAULT_KINDS[f.kind].target
+    if target in ("host", "link") and not 0 <= f.index < p.n_hosts:
+        raise ValueError(f"{f.describe()}: no such host (H={p.n_hosts})")
+    if target == "asu" and not 0 <= f.index < p.n_asus:
+        raise ValueError(f"{f.describe()}: no such ASU (D={p.n_asus})")
+    if target == "link" and not 0 <= f.peer < p.n_asus:
+        raise ValueError(f"{f.describe()}: no such ASU (D={p.n_asus})")
+    if target == "cut" and f.kind == "partition":  # heal's masks are empty
+        if f.index >> p.n_asus:
+            raise ValueError(f"{f.describe()}: ASU mask exceeds D={p.n_asus}")
+        if f.peer >> p.n_hosts:
+            raise ValueError(f"{f.describe()}: host mask exceeds H={p.n_hosts}")
+        if f.index == (1 << p.n_asus) - 1 and f.peer == (1 << p.n_hosts) - 1:
+            raise ValueError(f"{f.describe()}: the minority group is the whole "
+                             f"platform — nothing is on the other side of the cut")
 
 
 # -- constructors --------------------------------------------------------------
@@ -357,6 +290,16 @@ def crash_asu(t: float, index: int) -> Fault:
 def crash_host(t: float, index: int) -> Fault:
     """Fail-stop host ``index`` at time ``t`` (permanent)."""
     return Fault(t=t, kind="crash_host", index=index)
+
+
+def crash_coordinator(t: float) -> Fault:
+    """Fail-stop the whole job at simulated instant ``t``.
+
+    No platform node dies: the job's fault hook stops the simulation clock,
+    modelling the coordinating process being killed with all its volatile
+    state (see :mod:`repro.recovery.checkpoint`).
+    """
+    return Fault(t=t, kind="crash_coordinator", index=0)
 
 
 def degrade_asu(t: float, index: int, factor: float, duration: float) -> Fault:
@@ -427,7 +370,7 @@ def lose_replica(t: float, asu: int) -> Fault:
     the ASU keeps serving, but the :class:`~repro.replica.ReplicationManager`
     must detect the under-replication and re-replicate in the background.
     A no-op for jobs that do not replicate (the ASU's own state is intact);
-    fires through the injector's custom-kind branch (``on_fault`` only).
+    the injector only reports it through ``on_fault``.
     """
     return Fault(t=t, kind="lose_replica", index=asu)
 
@@ -451,10 +394,14 @@ def partition(t: float, asus: Iterable[int], hosts: Iterable[int] = (),
     Nodes keep running throughout — partitions never kill processes, which
     is exactly what makes them dangerous to a fail-stop takeover protocol.
     """
+    factor = {mode: code for code, mode in PARTITION_MODES.items()}.get(asymmetry)
+    if factor is None:
+        raise ValueError(
+            f"partition asymmetry {asymmetry!r} must be 'both', 'out' or 'in'"
+        )
     return Fault(
         t=t, kind="partition", index=mask_of(asus), peer=mask_of(hosts),
-        duration=duration,
-        factor={"both": 0.0, "out": 1.0, "in": 2.0}[asymmetry],
+        duration=duration, factor=factor,
     )
 
 
@@ -469,19 +416,13 @@ def heal(t: float) -> Fault:
     return Fault(t=t, kind="heal", index=0, peer=0)
 
 
-#: kinds that permanently fail-stop their target; two of these against the
-#: same device can never both fire (the first leaves nothing to kill), so a
-#: plan containing such a pair is a scheduling bug, not a harsher schedule.
-CRASH_FAULT_KINDS = ("crash_asu", "crash_host", "crash_coordinator")
-
-
 class FaultPlan:
     """An immutable-ish, chronologically sorted fault schedule.
 
     Construction validates the schedule's internal consistency: every entry
-    must be a :class:`Fault` of a registered kind, windows must not end
-    before they start (checked at :class:`Fault` construction), and no two
-    permanent crash faults may target the same device.
+    must be a :class:`Fault` (so of a kind in :data:`FAULT_KINDS`), windows
+    must not end before they start (checked at :class:`Fault` construction),
+    and no two permanent crash faults may target the same device.
     """
 
     def __init__(self, faults: Iterable[Fault] = ()):
@@ -500,11 +441,6 @@ class FaultPlan:
             if not isinstance(f, Fault):
                 raise TypeError(
                     f"FaultPlan entries must be Fault instances, got {f!r}"
-                )
-            if f.kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {f.kind!r} in plan; registered "
-                    f"kinds: {', '.join(fault_kinds())}"
                 )
             if f.kind in CRASH_FAULT_KINDS:
                 key = (f.kind, f.index)
@@ -538,7 +474,7 @@ class FaultPlan:
     def validate(self, params: SystemParams) -> "FaultPlan":
         """Check every fault targets a device that exists; returns self."""
         for f in self.faults:
-            FAULT_KINDS[f.kind].validate_targets(f, params)
+            _check_targets(f, params)
         return self
 
     def scaled(self, time_factor: float) -> "FaultPlan":
@@ -680,27 +616,21 @@ class RandomFaultModel:
         # Message-fault windows per (host, asu) pair.  Drawn after the legacy
         # classes so legacy-only plans stay bit-identical across versions.
         msg_classes = (
-            (self.mtt_drop, "drop"),
-            (self.mtt_dup, "dup"),
-            (self.mtt_delay, "delay"),
-            (self.mtt_corrupt, "corrupt"),
+            (self.mtt_drop, "drop_msg", 0.0),
+            (self.mtt_dup, "dup_msg", 0.0),
+            (self.mtt_delay, "delay_msg", self.msg_delay),
+            (self.mtt_corrupt, "corrupt_msg", 0.0),
         )
-        for mtt, which in msg_classes:
+        for mtt, kind, extra in msg_classes:
             if mtt is None:
                 continue
             for h in range(params.n_hosts):
                 for d in range(params.n_asus):
                     for t in self._arrivals(rng, mtt, horizon):
-                        if which == "drop":
-                            faults.append(drop_msg(t, h, d, self.msg_fault_duration))
-                        elif which == "dup":
-                            faults.append(dup_msg(t, h, d, self.msg_fault_duration))
-                        elif which == "delay":
-                            faults.append(
-                                delay_msg(t, h, d, self.msg_fault_duration, self.msg_delay)
-                            )
-                        else:
-                            faults.append(corrupt_msg(t, h, d, self.msg_fault_duration))
+                        faults.append(Fault(
+                            t=t, kind=kind, index=h, peer=d,
+                            duration=self.msg_fault_duration, extra=extra,
+                        ))
         if self.mtt_disk_fault is not None:
             for d in range(params.n_asus):
                 for t in self._arrivals(rng, self.mtt_disk_fault, horizon):
@@ -775,44 +705,36 @@ class Injector:
             )
 
     # -- firing ---------------------------------------------------------------
-    def _node_for(self, f: Fault):
-        if f.kind in ("crash_asu", "degrade_asu", "disk_fault"):
-            return self.plat.asus[f.index]
-        return self.plat.hosts[f.index]
-
     def _fire(self, f: Fault) -> None:
         t = self.plat.sim.now
-        if f.kind == "link_flap":
+        kind = FAULT_KINDS[f.kind]
+        if kind.target == "link":
             host_id = self.plat.hosts[f.index].node_id
             asu_id = self.plat.asus[f.peer].node_id
-            self.plat.network.set_link_down(host_id, asu_id, t, t + f.duration)
-            self.injected.append(f)
-        elif f.kind in MESSAGE_FAULT_KINDS:
-            host_id = self.plat.hosts[f.index].node_id
-            asu_id = self.plat.asus[f.peer].node_id
-            self.plat.network.set_msg_fault(
-                host_id, asu_id, f.kind, t, t + f.duration, extra=f.extra
-            )
-            self.injected.append(f)
-        elif f.kind == "partition":
-            group = [self.plat.asus[d].node_id for d in indices_of(f.index)]
-            group += [self.plat.hosts[h].node_id for h in indices_of(f.peer)]
-            self.plat.network.set_partition(
-                group, t, t + f.duration, mode=PARTITION_MODES[f.factor]
-            )
-            self.injected.append(f)
-        elif f.kind == "heal":
-            self.plat.network.heal_partitions(t)
-            self.injected.append(f)
-        elif f.kind in (
-            "crash_asu", "crash_host", "degrade_asu", "degrade_host",
-            "disk_fault",
-        ):
-            node = self._node_for(f)
+            if f.kind == "link_flap":
+                self.plat.network.set_link_down(host_id, asu_id, t, t + f.duration)
+            else:
+                self.plat.network.set_msg_fault(
+                    host_id, asu_id, f.kind, t, t + f.duration, extra=f.extra
+                )
+        elif kind.target == "cut":
+            if f.kind == "heal":
+                self.plat.network.heal_partitions(t)
+            else:
+                group = [self.plat.asus[d].node_id for d in indices_of(f.index)]
+                group += [self.plat.hosts[h].node_id for h in indices_of(f.peer)]
+                self.plat.network.set_partition(
+                    group, t, t + f.duration, mode=PARTITION_MODES[f.factor]
+                )
+        elif f.kind in ("lose_replica", "crash_coordinator"):
+            pass  # no platform semantics: the job acts on these via on_fault
+        else:
+            devices = self.plat.asus if kind.target == "asu" else self.plat.hosts
+            node = devices[f.index]
             if not node.alive:
                 self.skipped.append(f)
                 return
-            if f.kind in ("crash_asu", "crash_host"):
+            if kind.crash:
                 self.plat.fail_node(node)
             elif f.kind == "disk_fault":
                 node.disk.set_fault_window(t, t + f.duration)
@@ -821,12 +743,7 @@ class Injector:
                 self.plat.sim.schedule_callback(
                     lambda cpu=node.cpu: cpu.set_speed(1.0), delay=f.duration
                 )
-            self.injected.append(f)
-        else:
-            # Custom-registered kinds have no built-in platform semantics;
-            # they fire through ``on_fault`` only.  (They used to fall into
-            # the degrade branch and silently rescale a host clock.)
-            self.injected.append(f)
+        self.injected.append(f)
         tracer = self.plat.sim.tracer
         if tracer is not None:
             tracer.instant(

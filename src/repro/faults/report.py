@@ -11,11 +11,9 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .detector import FailureDetector
-from .injector import Fault, Injector
+from .injector import FAULT_KINDS, Fault, Injector
 
 __all__ = ["FaultReport"]
-
-_CRASH_KINDS = {"crash_asu": "asu", "crash_host": "host"}
 
 
 class FaultReport:
@@ -45,13 +43,14 @@ class FaultReport:
     # -- derived ---------------------------------------------------------------
     def crash_rows(self) -> list[list]:
         """One row per injected crash: node, t_fault, t_detect, latency,
-        t_recovered, MTTR (detection-to-recovery)."""
+        t_recovered, MTTR (detection-to-recovery).  A coordinator crash kills
+        no device, so it has no row."""
         rows = []
         for f in self.injected:
-            kind = _CRASH_KINDS.get(f.kind)
-            if kind is None:
+            row = FAULT_KINDS[f.kind]
+            if not row.crash or row.target == "job":
                 continue
-            nid = f"{kind}{f.index}"
+            nid = f"{row.target}{f.index}"
             t_det = self.detected.get(nid)
             t_rec = self.recovered_at.get(nid)
             rows.append([
@@ -65,11 +64,10 @@ class FaultReport:
         return rows
 
     def counts(self) -> dict[str, int]:
-        n_crashes = sum(1 for f in self.injected if f.kind in _CRASH_KINDS)
         return {
             "injected": len(self.injected),
             "skipped": len(self.skipped),
-            "crashes": n_crashes,
+            "crashes": len(self.crash_rows()),
             "detected": len(self.detected),
             "recovered": len(self.recovered_at),
         }

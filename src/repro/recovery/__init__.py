@@ -7,8 +7,8 @@ makes *jobs* survive them:
   logging DSM-Sort progress (distribute-block/shard completion, emitted runs
   with content digests, the pass-2 merge frontier) with its I/O charged
   simulated time through the emulated disk layer;
-* :mod:`~repro.recovery.checkpoint` — the ``crash_coordinator`` fault kind
-  and :class:`RecoverableSort`, which re-creates a killed
+* :mod:`~repro.recovery.checkpoint` — :class:`RecoverableSort`, which
+  survives the ``crash_coordinator`` fault kind: it re-creates a killed
   :class:`~repro.dsmsort.DsmSortJob` from the manifest and resumes it
   without re-reading completed shards;
 * :mod:`~repro.recovery.speculate` — a straggler speculator that watches
@@ -22,7 +22,8 @@ makes *jobs* survive them:
 See docs/RECOVERY.md for the manifest format and restart semantics.
 """
 
-from .checkpoint import AttemptOutcome, RecoverableSort, crash_coordinator
+from ..faults.injector import crash_coordinator
+from .checkpoint import AttemptOutcome, RecoverableSort
 from .manifest import CheckpointError, RestoredState, RunManifest, digest_records
 from .speculate import SpeculationPolicy, Speculator, StragglerSignal
 from .supervisor import (

@@ -2,9 +2,9 @@
 
 The paper's platform pushes computation into shared storage; a long sort is
 therefore exposed to one more failure domain than the ASUs and hosts the
-fault-tolerant runtime already covers — the *coordinating job itself*.  This
-module models that as a first-class fault kind (``crash_coordinator``) and
-provides :class:`RecoverableSort`, a thin wrapper that re-creates a killed
+fault-tolerant runtime already covers — the *coordinating job itself*, killed
+by the ``crash_coordinator`` fault kind.  This module provides
+:class:`RecoverableSort`, a thin wrapper that re-creates a killed
 :class:`~repro.dsmsort.DsmSortJob` from its write-ahead
 :class:`~repro.recovery.manifest.RunManifest` and resumes it without
 re-reading completed shards or re-merging completed buckets.
@@ -30,37 +30,10 @@ from typing import Optional
 import numpy as np
 
 from ..dsmsort.runtime import DsmSortJob, Pass1Result, Pass2Result
-from ..faults.injector import FAULT_KINDS, Fault, FaultPlan, register_fault_kind
+from ..faults.injector import FaultPlan, crash_coordinator
 from .manifest import RunManifest
 
-__all__ = ["AttemptOutcome", "RecoverableSort", "crash_coordinator"]
-
-
-# -- the fault kind ------------------------------------------------------------
-def _validate_coordinator(f: Fault) -> None:
-    if f.index != 0:
-        raise ValueError(
-            "crash_coordinator targets the (single) job coordinator; index "
-            f"must be 0, got {f.index}"
-        )
-
-
-if "crash_coordinator" not in FAULT_KINDS:
-    register_fault_kind(
-        "crash_coordinator",
-        validate=_validate_coordinator,
-        describe=lambda f: f"t={f.t:.3f} crash_coordinator",
-    )
-
-
-def crash_coordinator(t: float) -> Fault:
-    """Fail-stop the whole job at simulated instant ``t``.
-
-    Fires through the injector's custom-kind path: no platform node dies;
-    instead the job's fault hook stops the simulation clock, modelling the
-    coordinating process being killed with all its volatile state.
-    """
-    return Fault(t=t, kind="crash_coordinator", index=0)
+__all__ = ["AttemptOutcome", "RecoverableSort"]
 
 
 # -- one attempt's outcome -----------------------------------------------------

@@ -1,8 +1,14 @@
 """Tests for repro.faults: injection, detection, and DSM-Sort recovery."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import DSMConfig
 from repro.core.load_manager import LoadManager
 from repro.core.placement import Placement, PlacementSolver
@@ -11,7 +17,9 @@ from repro.dsmsort import DsmSortJob
 from repro.emulator.params import SystemParams
 from repro.emulator.platform import ActivePlatform
 from repro.faults import (
+    CRASH_FAULT_KINDS,
     FAULT_KINDS,
+    LOSSY_FAULT_KINDS,
     FailureDetector,
     Fault,
     FaultPlan,
@@ -20,6 +28,7 @@ from repro.faults import (
     RandomFaultModel,
     corrupt_msg,
     crash_asu,
+    crash_coordinator,
     crash_host,
     degrade_asu,
     degrade_host,
@@ -27,9 +36,10 @@ from repro.faults import (
     disk_fault,
     drop_msg,
     dup_msg,
-    fault_kinds,
+    heal,
     link_flap,
-    register_fault_kind,
+    lose_replica,
+    partition,
 )
 from repro.functors.base import FunctorError
 
@@ -116,7 +126,7 @@ class TestFaultPlan:
 
 class TestFaultKindRegistry:
     def test_unknown_kind_error_lists_registered(self):
-        with pytest.raises(ValueError, match="registered kinds:.*crash_asu"):
+        with pytest.raises(ValueError, match="known kinds:.*crash_asu"):
             Fault(t=0.0, kind="meteor", index=0)
 
     def test_builtin_kinds_registered(self):
@@ -124,33 +134,7 @@ class TestFaultKindRegistry:
             "crash_asu", "crash_host", "degrade_asu", "degrade_host",
             "link_flap", "drop_msg", "dup_msg", "delay_msg", "corrupt_msg",
             "disk_fault",
-        } <= set(fault_kinds())
-
-    def test_register_custom_kind(self):
-        def needs_duration(f):
-            if f.duration <= 0:
-                raise ValueError("gamma rays need a positive duration")
-
-        register_fault_kind(
-            "test_gamma_ray",
-            validate=needs_duration,
-            describe=lambda f: f"t={f.t:.3f} gamma-ray asu{f.index}",
-        )
-        try:
-            assert "test_gamma_ray" in fault_kinds()
-            f = Fault(t=1.0, kind="test_gamma_ray", index=2, duration=0.5)
-            assert f.describe() == "t=1.000 gamma-ray asu2"
-            with pytest.raises(ValueError, match="positive duration"):
-                Fault(t=1.0, kind="test_gamma_ray", index=2)
-            # A custom kind is a first-class plan citizen.
-            plan = FaultPlan([f]).validate(small_params())
-            assert plan.kinds() == {"test_gamma_ray"}
-        finally:
-            del FAULT_KINDS["test_gamma_ray"]
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_fault_kind("crash_asu")
+        } <= set(FAULT_KINDS)
 
     def test_message_fault_constructors_validate(self):
         drop_msg(0.0, 0, 1, 0.5)
@@ -180,6 +164,115 @@ class TestFaultKindRegistry:
         plan = FaultPlan([crash_asu(1.0, 0), drop_msg(0.5, 0, 1, 0.2)])
         assert plan.kinds() == {"crash_asu", "drop_msg"}
         assert FaultPlan().kinds() == set()
+
+
+#: one fault of every kind, each aimed at asu1 / host1 where it has a target
+ONE_OF_EACH = {
+    "crash_asu": crash_asu(0.1, 1),
+    "crash_host": crash_host(0.1, 1),
+    "crash_coordinator": crash_coordinator(0.1),
+    "degrade_asu": degrade_asu(0.1, 1, factor=0.5, duration=0.2),
+    "degrade_host": degrade_host(0.1, 1, factor=0.5, duration=0.2),
+    "link_flap": link_flap(0.1, 1, 1, 0.2),
+    "drop_msg": drop_msg(0.1, 1, 1, 0.2),
+    "dup_msg": dup_msg(0.1, 1, 1, 0.2),
+    "delay_msg": delay_msg(0.1, 1, 1, 0.2, delay=0.01),
+    "corrupt_msg": corrupt_msg(0.1, 1, 1, 0.2),
+    "disk_fault": disk_fault(0.1, 1, 0.2),
+    "lose_replica": lose_replica(0.1, 1),
+    "partition": partition(0.1, [1], duration=0.2),
+    "heal": heal(0.1),
+}
+
+
+class TestFaultKindTable:
+    def test_one_example_per_row(self):
+        assert set(ONE_OF_EACH) == set(FAULT_KINDS)
+        assert all(f.kind == k for k, f in ONE_OF_EACH.items())
+
+    @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
+    def test_row_fires_on_bare_platform(self, kind):
+        f = ONE_OF_EACH[kind]
+        plat = ActivePlatform(small_params())
+        seen = []
+        inj = Injector(plat, FaultPlan([f]), on_fault=seen.append)
+        inj.arm()
+        plat.sim.run(until=1.0)
+        assert (inj.injected, inj.skipped, seen) == ([f], [], [f])
+
+    @pytest.mark.parametrize(
+        "kind", sorted(k for k, row in FAULT_KINDS.items()
+                       if row.target in ("asu", "host"))
+    )
+    def test_dead_target(self, kind):
+        f = ONE_OF_EACH[kind]
+        plat = ActivePlatform(small_params())
+        devices = plat.asus if FAULT_KINDS[kind].target == "asu" else plat.hosts
+        plat.fail_node(devices[f.index])
+        inj = Injector(plat, FaultPlan([f]))
+        inj.arm()
+        plat.sim.run(until=1.0)
+        if kind == "lose_replica":  # media loss is reported, dead or not
+            assert (inj.injected, inj.skipped) == ([f], [])
+        else:
+            assert (inj.injected, inj.skipped) == ([], [f])
+
+    def test_derived_kind_sets(self):
+        assert CRASH_FAULT_KINDS == {"crash_asu", "crash_host", "crash_coordinator"}
+        assert LOSSY_FAULT_KINDS == {
+            "drop_msg", "dup_msg", "delay_msg", "corrupt_msg", "disk_fault",
+            "partition",
+        }
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            FAULT_KINDS["meteor"] = FAULT_KINDS["crash_asu"]
+
+    def test_numpy_index_accepted(self):
+        assert crash_asu(0.0, np.int64(2)).describe() == "t=0.000 crash asu2"
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: crash_asu(float("nan"), 0), "finite nonnegative time"),
+        (lambda: crash_asu(float("inf"), 0), "finite nonnegative time"),
+        (lambda: Fault(t=0.0, kind="disk_fault", index=0,
+                       duration=float("nan")), "duration=nan"),
+        (lambda: delay_msg(0.0, 0, 1, 0.5, delay=float("inf")),
+         "extra=inf"),
+        (lambda: crash_asu(0.0, 1.5), "must be integers"),
+        (lambda: partition(0.0, [1], asymmetry="sideways"),
+         "'both', 'out' or 'in'"),
+    ])
+    def test_hostile_input_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_crash_coordinator_needs_no_recovery_import(self):
+        # A fresh interpreter that has not imported repro.recovery still
+        # knows the kind, and a job carrying it is killed mid pass 1.
+        script = textwrap.dedent("""
+            import sys
+            from repro.faults import Fault, FaultPlan
+            Fault(t=0.1, kind="crash_coordinator", index=0)
+            assert "repro.recovery" not in sys.modules
+            from repro.core import DSMConfig
+            from repro.dsmsort import DsmSortJob
+            from repro.emulator.params import SystemParams
+            job = DsmSortJob(
+                SystemParams(n_hosts=2, n_asus=4, block_records=128),
+                DSMConfig.for_n(1 << 12, alpha=8, gamma=8), policy="sr",
+                seed=0,
+                faults=FaultPlan([Fault(t=0.005, kind="crash_coordinator",
+                                        index=0)]),
+            )
+            res = job.run_pass1()
+            print(res.coordinator_crashed, res.completed)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "False"]
 
 
 class TestRandomFaultModel:

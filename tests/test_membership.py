@@ -80,7 +80,7 @@ class TestPartitionFaultKind:
             partition(0.0, [], duration=0.5)
 
     def test_unknown_asymmetry_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'both', 'out' or 'in'"):
             partition(0.0, [1], asymmetry="sideways")
         with pytest.raises(ValueError, match="asymmetry mode"):
             Fault(t=0.0, kind="partition", index=2, peer=0, duration=0.5,
