@@ -390,7 +390,7 @@ class PipelineJob:
                         avg(name, k, now)
                         for k in range(len(inst_nodes[name]))
                     ]
-                    thr = laggard_threshold(rates, spec, rng)
+                    thr = laggard_threshold(rates, rng)
                     for k, rate in enumerate(rates):
                         if rate < thr and k not in slow[name]:
                             slow[name].add(k)

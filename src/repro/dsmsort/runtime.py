@@ -236,7 +236,6 @@ class DsmSortJob:
         job_id: Optional[str] = None,
         replication=None,
         detection_mode: str = "timer",
-        probe_timeout: Optional[float] = None,
     ):
         if faults is None and (
             transport == "reliable" or detection_mode == "network"
@@ -365,7 +364,6 @@ class DsmSortJob:
         #: are *detected* and confirmations are fenced by membership epochs
         #: (docs/PARTITIONS.md).  Timer mode leaves legacy runs byte-identical.
         self.detection_mode = detection_mode
-        self.probe_timeout = probe_timeout
         #: "direct" posts straight onto the network (the paper's lossless
         #: emulation); "reliable" runs every host<->ASU exchange through
         #: seq/ack/retransmit endpoints so injected message faults
@@ -786,7 +784,7 @@ class DsmSortJob:
         injector = Injector(plat, self.faults, on_fault=self._on_fault_ft)
         detector = FailureDetector(
             plat, interval=self.heartbeat_interval, timeout=self.heartbeat_timeout,
-            mode=self.detection_mode, probe_timeout=self.probe_timeout,
+            mode=self.detection_mode,
         )
         detector.on_failure.append(self._on_detected_ft)
         detector.on_readmit.append(self._members.readmitted)

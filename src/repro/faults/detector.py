@@ -1,14 +1,14 @@
 """Heartbeat failure detection with configurable latency — and, optionally,
 a network-borne mode that can tell *crashed* from *unreachable*.
 
-Each monitored node runs a *beater* process that stamps a liveness table every
-``interval`` virtual seconds; a single monitor process sweeps the table every
-``check_interval`` and declares any node silent for longer than ``timeout``
-failed.  Beaters are registered to their node
+Each node of the platform runs a *beater* process that stamps a liveness
+table every ``interval`` virtual seconds; a single monitor process sweeps the
+table on the same period and declares any node silent for longer than
+``timeout`` failed.  Beaters are registered to their node
 (:meth:`~repro.emulator.platform.ActivePlatform.spawn` with ``node=``), so a
 fail-stop interrupts them and the heartbeats genuinely stop — detection then
-follows within ``timeout + check_interval`` of the crash, which is the
-detector's latency bound.
+follows within ``timeout + interval`` of the crash, which is the detector's
+latency bound.
 
 Two detection modes:
 
@@ -21,17 +21,17 @@ Two detection modes:
   "detected" triggers exclusive takeover across a real network
   (docs/PARTITIONS.md).
 
-* ``mode="network"`` — heartbeats travel as real messages (zero-sized by
-  default, so link capacity is not perturbed) from each node to an *anchor*
-  node, and therefore suffer partitions, drops, and flaps like any other
+* ``mode="network"`` — heartbeats travel as real zero-sized messages (link
+  capacity is not perturbed) from each node to an *anchor* node, the first
+  host, and therefore suffer partitions, drops, and flaps like any other
   traffic.  A silent node is first **suspected**, then probed *indirectly*
   through third-party relays (SWIM-style: anchor→relay→target→relay→anchor,
   four real message legs).  An indirect ack proves the target alive but
-  unreachable from the anchor (**unreachable** — no takeover); probe-timeout
-  silence on every relay path **confirms** the failure and fires the usual
-  callbacks.  False suspicion is possible by design here — which is exactly
-  why confirmation must be fenced by membership epochs before any exclusive
-  resource changes hands (:mod:`repro.membership`).
+  unreachable from the anchor (**unreachable** — no takeover); ``timeout``
+  of silence on every relay path **confirms** the failure and fires the
+  usual callbacks.  False suspicion is possible by design here — which is
+  exactly why confirmation must be fenced by membership epochs before any
+  exclusive resource changes hands (:mod:`repro.membership`).
 
 Re-admission: when a confirmed node's heartbeats resume (a healed cut), the
 detector :meth:`clear`\\ s it and fires ``on_readmit`` so upper layers can
@@ -42,7 +42,7 @@ quarantine itself, not expel the world.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..emulator.node import Node
 from ..emulator.platform import ActivePlatform
@@ -63,14 +63,9 @@ class FailureDetector:
     def __init__(
         self,
         plat: ActivePlatform,
-        nodes: Optional[Iterable[Node]] = None,
         interval: float = 0.05,
         timeout: float = 0.2,
-        check_interval: Optional[float] = None,
         mode: str = "timer",
-        anchor: Optional[Node] = None,
-        probe_timeout: Optional[float] = None,
-        hb_nbytes: int = 0,
     ):
         if interval <= 0 or timeout <= 0:
             raise ValueError("interval and timeout must be positive")
@@ -79,19 +74,14 @@ class FailureDetector:
         if mode not in ("timer", "network"):
             raise ValueError(f"unknown detection mode {mode!r}")
         self.plat = plat
-        self.nodes: list[Node] = list(plat.nodes if nodes is None else nodes)
+        self.nodes: list[Node] = list(plat.nodes)
         self.interval = float(interval)
         self.timeout = float(timeout)
-        self.check_interval = float(check_interval if check_interval is not None else interval)
         self.mode = mode
         #: anchor node the heartbeats travel to (network mode)
         self.anchor: Optional[Node] = None
-        self.probe_timeout = float(probe_timeout if probe_timeout is not None else timeout)
-        self.hb_nbytes = int(hb_nbytes)
         if mode == "network":
-            self.anchor = anchor if anchor is not None else (
-                plat.hosts[0] if plat.hosts else self.nodes[0]
-            )
+            self.anchor = plat.hosts[0] if plat.hosts else self.nodes[0]
         #: node_id -> virtual time the failure was declared (confirmed)
         self.detected: dict[str, float] = {}
         #: node_id -> ALIVE / SUSPECTED / UNREACHABLE / CONFIRMED
@@ -126,8 +116,8 @@ class FailureDetector:
             # silence noticed at a sweep, then one full probe round must also
             # come up empty — and its expiry is observed at a sweep too, so
             # the quantization charge applies twice
-            return self.timeout + self.probe_timeout + 2 * self.check_interval
-        return self.timeout + self.check_interval
+            return 2 * self.timeout + 2 * self.interval
+        return self.timeout + self.interval
 
     def start(self) -> None:
         """Spawn the beaters and the monitor.  Call once, before ``run()``.
@@ -175,7 +165,7 @@ class FailureDetector:
                 yield self.plat.sim.timeout(self.interval)
                 # A real message: it rides the links, so cuts silence it.
                 net.post(node.node_id, anchor_id, ("hb", node.node_id),
-                         self.hb_nbytes, tag="hb", inbox=self._hb_inbox)
+                         0, tag="hb", inbox=self._hb_inbox)
         else:
             while True:
                 yield self.plat.sim.timeout(self.interval)
@@ -202,7 +192,7 @@ class FailureDetector:
 
     def _monitor_loop(self):
         while self._running:
-            yield self.plat.sim.timeout(self.check_interval)
+            yield self.plat.sim.timeout(self.interval)
             now = self.plat.sim.now
             for node in self.nodes:
                 nid = node.node_id
@@ -229,7 +219,7 @@ class FailureDetector:
                     self._note(f"unreachable {nid}")
                     self._refresh_suspected_gauge()
                 self._launch_probes(node, now)
-            elif now - self._probe_round[nid] > self.probe_timeout:
+            elif now - self._probe_round[nid] > self.timeout:
                 self._confirm(node)
 
     def _suspect(self, node: Node, now: float) -> None:
@@ -274,7 +264,7 @@ class FailureDetector:
             (relay.node_id, anchor_id),       # side of the cut sends this)
         ):
             leg = Store(sim)
-            net.post(src, dst, ("probe", target.node_id), self.hb_nbytes,
+            net.post(src, dst, ("probe", target.node_id), 0,
                      tag="probe", inbox=leg)
             yield leg.get()
         self._indirect_ack[target.node_id] = sim.now

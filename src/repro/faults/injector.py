@@ -486,38 +486,14 @@ class FaultPlan:
         )
 
 
-def _first_crash_per_device(
-    crashes: list[tuple[float, int]], cap: int
-) -> list[tuple[float, int]]:
-    """Earliest ``cap`` crashes, at most one per device.
-
-    A device crashed at ``t`` cannot crash again later, and
-    :class:`FaultPlan` now rejects such schedules, so the truncation keeps
-    only each device's first arrival.  With ``cap == 1`` this is identical
-    to the historical ``sorted(crashes)[:1]`` truncation.
-    """
-    picked: list[tuple[float, int]] = []
-    seen: set[int] = set()
-    for t, dev in sorted(crashes):
-        if dev in seen:
-            continue
-        seen.add(dev)
-        picked.append((t, dev))
-        if len(picked) >= cap:
-            break
-    return picked
-
-
 class RandomFaultModel:
     """Seeded stochastic fault schedule: exponential inter-arrival per device.
 
     Each device class gets a mean-time-to-failure; crash faults are drawn as a
-    Poisson process per device, degradations, flaps, message faults, and disk
-    faults likewise with their own MTTFs.  ``None`` disables a fault class.
-    The same ``seed`` always yields the same plan for the same parameters and
-    horizon; newly added fault classes draw *after* the legacy classes, so
-    plans that only use the legacy classes are bit-identical to older
-    versions.
+    Poisson process per device, degradations, message faults, and disk faults
+    likewise with their own MTTFs.  ``None`` disables a fault class.  The same
+    ``seed`` always yields the same plan for the same parameters and horizon;
+    the classes draw in a fixed order, so a committed seeded plan never moves.
     """
 
     def __init__(
@@ -526,11 +502,7 @@ class RandomFaultModel:
         mttf_asu: Optional[float] = None,
         mttf_host: Optional[float] = None,
         mtt_degrade: Optional[float] = None,
-        mtt_flap: Optional[float] = None,
-        degrade_factor: float = 0.5,
         degrade_duration: float = 1.0,
-        flap_duration: float = 0.25,
-        max_crashes: int = 1,
         mtt_drop: Optional[float] = None,
         mtt_dup: Optional[float] = None,
         mtt_delay: Optional[float] = None,
@@ -539,23 +511,12 @@ class RandomFaultModel:
         msg_fault_duration: float = 0.02,
         msg_delay: float = 0.002,
         disk_fault_duration: float = 0.05,
-        mtt_lose_replica: Optional[float] = None,
-        mtt_partition: Optional[float] = None,
-        partition_duration: float = 0.25,
-        partition_asymmetry: str = "mixed",
-        partition_max_asus: int = 1,
     ):
         self.seed = int(seed)
         self.mttf_asu = mttf_asu
         self.mttf_host = mttf_host
         self.mtt_degrade = mtt_degrade
-        self.mtt_flap = mtt_flap
-        self.degrade_factor = float(degrade_factor)
         self.degrade_duration = float(degrade_duration)
-        self.flap_duration = float(flap_duration)
-        #: cap on fail-stops per device class, so a random plan cannot kill
-        #: every replica (recovery needs at least one survivor)
-        self.max_crashes = int(max_crashes)
         self.mtt_drop = mtt_drop
         self.mtt_dup = mtt_dup
         self.mtt_delay = mtt_delay
@@ -564,17 +525,6 @@ class RandomFaultModel:
         self.msg_fault_duration = float(msg_fault_duration)
         self.msg_delay = float(msg_delay)
         self.disk_fault_duration = float(disk_fault_duration)
-        self.mtt_lose_replica = mtt_lose_replica
-        self.mtt_partition = mtt_partition
-        self.partition_duration = float(partition_duration)
-        if partition_asymmetry not in ("mixed", "both", "out", "in"):
-            raise ValueError(
-                f"partition_asymmetry {partition_asymmetry!r} must be 'mixed' "
-                f"or one of the cut modes 'both'/'out'/'in'"
-            )
-        self.partition_asymmetry = partition_asymmetry
-        #: size of the minority ASU group each drawn cut isolates
-        self.partition_max_asus = int(partition_max_asus)
 
     def _arrivals(self, rng: np.random.Generator, mttf: float, horizon: float) -> list[float]:
         times, t = [], 0.0
@@ -588,33 +538,26 @@ class RandomFaultModel:
         """Draw the fault schedule over ``[0, horizon)``."""
         rng = np.random.default_rng(self.seed)
         faults: list[Fault] = []
-        # Crashes: one Poisson stream per device, truncated to max_crashes
-        # per class so the run keeps a quorum of survivors.
+        # Crashes: one Poisson stream per device, truncated to the earliest
+        # crash per class so the run keeps a quorum of survivors (recovery
+        # needs at least one).
         if self.mttf_asu is not None:
             crashes = []
             for d in range(params.n_asus):
                 crashes += [(t, d) for t in self._arrivals(rng, self.mttf_asu, horizon)]
-            for t, d in _first_crash_per_device(crashes, self.max_crashes):
+            for t, d in sorted(crashes)[:1]:
                 faults.append(crash_asu(t, d))
         if self.mttf_host is not None:
             crashes = []
             for h in range(params.n_hosts):
                 crashes += [(t, h) for t in self._arrivals(rng, self.mttf_host, horizon)]
-            for t, h in _first_crash_per_device(crashes, self.max_crashes):
+            for t, h in sorted(crashes)[:1]:
                 faults.append(crash_host(t, h))
         if self.mtt_degrade is not None:
             for d in range(params.n_asus):
                 for t in self._arrivals(rng, self.mtt_degrade, horizon):
-                    faults.append(
-                        degrade_asu(t, d, self.degrade_factor, self.degrade_duration)
-                    )
-        if self.mtt_flap is not None:
-            for h in range(params.n_hosts):
-                for d in range(params.n_asus):
-                    for t in self._arrivals(rng, self.mtt_flap, horizon):
-                        faults.append(link_flap(t, h, d, self.flap_duration))
-        # Message-fault windows per (host, asu) pair.  Drawn after the legacy
-        # classes so legacy-only plans stay bit-identical across versions.
+                    faults.append(degrade_asu(t, d, factor=0.5, duration=self.degrade_duration))
+        # Message-fault windows per (host, asu) pair.
         msg_classes = (
             (self.mtt_drop, "drop_msg", 0.0),
             (self.mtt_dup, "dup_msg", 0.0),
@@ -635,32 +578,6 @@ class RandomFaultModel:
             for d in range(params.n_asus):
                 for t in self._arrivals(rng, self.mtt_disk_fault, horizon):
                     faults.append(disk_fault(t, d, self.disk_fault_duration))
-        # Replica-loss windows, drawn strictly after every legacy class.
-        # Draw-order contract (pinned by tests/test_replication.py and
-        # tests/test_membership.py): any new fault class appends its draws
-        # *here*, after all existing ones, so enabling it cannot shift the
-        # draws of a committed seeded plan.
-        if self.mtt_lose_replica is not None:
-            for d in range(params.n_asus):
-                for t in self._arrivals(rng, self.mtt_lose_replica, horizon):
-                    faults.append(lose_replica(t, d))
-        # Partition cuts: one Poisson stream for the whole platform (a cut is
-        # a fabric event, not a per-device one).  Each arrival isolates a
-        # contiguous minority ASU group and draws its asymmetry.  Drawn after
-        # lose_replica per the draw-order contract above.
-        if self.mtt_partition is not None:
-            group_size = max(1, min(self.partition_max_asus, params.n_asus - 1))
-            for t in self._arrivals(rng, self.mtt_partition, horizon):
-                start = int(rng.integers(params.n_asus))
-                group = [(start + k) % params.n_asus for k in range(group_size)]
-                if self.partition_asymmetry == "mixed":
-                    mode = ("both", "out", "in")[int(rng.integers(3))]
-                else:
-                    mode = self.partition_asymmetry
-                faults.append(
-                    partition(t, group, duration=self.partition_duration,
-                              asymmetry=mode)
-                )
         return FaultPlan(faults).validate(params)
 
 

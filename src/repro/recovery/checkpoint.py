@@ -84,9 +84,6 @@ class RecoverableSort:
         policy: str = "sr",
         workload: str = "uniform",
         base_faults: Optional[FaultPlan] = None,
-        manifest: Optional[RunManifest] = None,
-        transport: str = "direct",
-        speculation=None,
         metrics_factory=None,
         job_kwargs: Optional[dict] = None,
         job_id: Optional[str] = None,
@@ -97,8 +94,6 @@ class RecoverableSort:
         self.policy = policy
         self.workload = workload
         self._base_faults = tuple(base_faults) if base_faults is not None else ()
-        self.transport = transport
-        self.speculation = speculation
         self._metrics_factory = metrics_factory
         self._job_kwargs = dict(job_kwargs or {})
         #: scheduler namespace: every attempt's DsmSortJob carries this id,
@@ -108,7 +103,7 @@ class RecoverableSort:
         if job_id is not None:
             self._job_kwargs.setdefault("job_id", job_id)
         #: the shared journal — the only state that survives a kill
-        self.manifest = manifest if manifest is not None else RunManifest()
+        self.manifest = RunManifest()
         #: per-attempt outcomes, in order
         self.attempts: list[AttemptOutcome] = []
         #: virtual time consumed across all attempts (excludes backoff —
@@ -134,10 +129,8 @@ class RecoverableSort:
             workload=self.workload,
             seed=self.seed,
             faults=FaultPlan(faults),
-            transport=self.transport,
             manifest=self.manifest,
             routing_seed=routing_seed,
-            speculation=self.speculation,
             metrics=metrics,
             **self._job_kwargs,
         )

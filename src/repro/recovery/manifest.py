@@ -37,6 +37,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,17 +45,20 @@ import numpy as np
 
 __all__ = ["RunManifest", "RestoredState", "CheckpointError", "digest_records"]
 
-#: the fields every journal entry of each ``op`` carries, checked on load so a
-#: hollow entry fails in :meth:`RunManifest.from_json`, not mid-restore.  A
-#: ``run`` entry may also carry the ``epoch`` its view accepted it under.
+#: the fields every journal entry of each ``op`` carries, with their JSON
+#: types, checked on load so a hollow or mistyped entry fails in
+#: :meth:`RunManifest.from_json`, not mid-restore (an ``int`` field refuses a
+#: ``bool``, a ``float`` one a non-finite value).  A ``run`` entry may also
+#: carry the ``epoch`` its view accepted it under.
 _ENTRY_FIELDS = {
-    "run": frozenset({"rid", "host", "bucket", "dest", "n", "digest", "frags"}),
-    "block": frozenset({"shard", "block", "frags"}),
-    "shard": frozenset({"shard", "n_blocks"}),
-    "purge_asu": frozenset({"d"}),
-    "purge_host": frozenset({"h"}),
-    "pass1": frozenset({"makespan"}),
-    "bucket": frozenset({"rid", "bucket", "n", "digest"}),
+    "run": {"rid": int, "host": int, "bucket": int, "dest": int, "n": int,
+            "digest": str, "frags": list},
+    "block": {"shard": int, "block": int, "frags": list},
+    "shard": {"shard": int, "n_blocks": int},
+    "purge_asu": {"d": int},
+    "purge_host": {"h": int},
+    "pass1": {"makespan": float},
+    "bucket": {"rid": int, "bucket": int, "n": int, "digest": str},
 }
 
 
@@ -403,9 +407,10 @@ class RunManifest:
         """Rebuild a manifest from :meth:`to_json` output.
 
         Anything else — truncated or non-object JSON, a missing or mistyped
-        field, an entry of unknown ``op`` or without its op's fields, a
-        payload that is not strict base64 or not a whole number of records —
-        raises :class:`CheckpointError`, never a bare parse error.
+        field, an entry of unknown ``op``, without its op's fields or with
+        one of the wrong type, a payload that is not strict base64 or not a
+        whole number of records — raises :class:`CheckpointError`, never a
+        bare parse error.
         """
         try:
             doc = json.loads(text)
@@ -425,10 +430,20 @@ class RunManifest:
                 op = e["op"]
                 if op not in _ENTRY_FIELDS:
                     raise CheckpointError(f"malformed manifest: unknown entry op {op!r}")
-                missing = sorted(_ENTRY_FIELDS[op] - e.keys())
+                fields = _ENTRY_FIELDS[op]
+                missing = sorted(fields.keys() - e.keys())
                 if missing:
                     raise CheckpointError(
                         f"malformed manifest: {op!r} entry lacks {', '.join(missing)}"
+                    )
+                mistyped = sorted(
+                    f for f, t in fields.items()
+                    if type(e[f]) is not t or (t is float and not math.isfinite(e[f]))
+                )
+                if mistyped:
+                    raise CheckpointError(
+                        f"malformed manifest: {op!r} entry has mistyped "
+                        f"{', '.join(mistyped)}"
                     )
                 if op == "block":
                     m._logged_blocks.add((e["shard"], e["block"]))

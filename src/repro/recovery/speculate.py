@@ -20,10 +20,10 @@ observability layer exports — no side channel) and reacts two ways:
   (:meth:`mark_speculative`): new fragments prefer its peers until it
   catches back up, at which point the flag is cleared.
 
-The laggard test is quantile-relative with a seeded jitter so sweeps are
+The laggard test is median-relative with a seeded jitter so sweeps are
 reproducible: replica ``i`` is slow iff its average rate falls below
-``ratio * quantile(peer rates, q) * (1 + jitter * u)`` with ``u`` drawn
-from the policy's own RNG stream.
+``RATIO * quantile(peer rates, QUANTILE) * (1 + JITTER * u)`` with ``u``
+drawn from the policy's own RNG stream.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ from ..util.rng import derive_seed
 
 __all__ = ["SpeculationPolicy", "Speculator", "StragglerSignal", "laggard_threshold"]
 
+#: peer-rate quantile the laggard threshold is anchored to
+QUANTILE = 0.5
+#: a replica is slow below ``RATIO`` × that quantile
+RATIO = 0.55
+#: ± relative jitter applied to the threshold (seeded, reproducible)
+JITTER = 0.05
+#: don't hedge a shard with fewer unfinished blocks than this — the
+#: duplicate would finish after the original anyway
+MIN_REMAINING_BLOCKS = 2
+#: at most this many hedge replicas per shard
+MAX_HEDGES_PER_SHARD = 1
+
 
 @dataclass(frozen=True)
 class SpeculationPolicy:
@@ -46,45 +58,26 @@ class SpeculationPolicy:
     interval: float = 0.05
     #: no decisions before this instant (rates need history to mean anything)
     warmup: float = 0.1
-    #: peer-rate quantile the laggard threshold is anchored to
-    quantile: float = 0.5
-    #: a replica is slow below ``ratio`` × that quantile
-    ratio: float = 0.55
-    #: ± relative jitter applied to the threshold (seeded, reproducible)
-    jitter: float = 0.05
-    #: don't hedge a shard with fewer unfinished blocks than this — the
-    #: duplicate would finish after the original anyway
-    min_remaining_blocks: int = 2
-    #: at most this many hedge replicas per shard
-    max_hedges_per_shard: int = 1
     #: global hedge budget for the whole pass
     max_hedges: int = 4
     #: RNG stream seed for the threshold jitter
     seed: int = 0
-    #: also watch host sort rates and feed the load manager's steer-around
-    watch_hosts: bool = True
 
     def __post_init__(self):
         if self.interval <= 0:
             raise ValueError("interval must be positive")
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must be in (0, 1)")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
 
 
-def laggard_threshold(rates, policy: SpeculationPolicy, rng) -> float:
+def laggard_threshold(rates, rng) -> float:
     """The rate below which a replica counts as a straggler.
 
     Shared by the DSM-Sort :class:`Speculator` and the pipeline executor's
-    straggler watch, so "slow" means the same thing job-wide: ``ratio`` ×
-    the ``quantile``-th peer rate, jittered by a seeded draw from ``rng``.
+    straggler watch, so "slow" means the same thing job-wide: ``RATIO`` ×
+    the ``QUANTILE``-th peer rate, jittered by a seeded draw from ``rng``.
     """
-    anchor = float(np.quantile(np.asarray(list(rates), dtype=float), policy.quantile))
-    u = float(rng.uniform(-1.0, 1.0)) if policy.jitter else 0.0
-    return policy.ratio * anchor * (1.0 + policy.jitter * u)
+    anchor = float(np.quantile(np.asarray(list(rates), dtype=float), QUANTILE))
+    u = float(rng.uniform(-1.0, 1.0))
+    return RATIO * anchor * (1.0 + JITTER * u)
 
 
 @dataclass
@@ -144,11 +137,7 @@ class Speculator:
             if now < pol.warmup:
                 continue
             self._check_producers(plat, now)
-            if pol.watch_hosts:
-                self._check_hosts(plat, now)
-
-    def _threshold(self, rates: list[float]) -> float:
-        return laggard_threshold(rates, self.policy, self.rng)
+            self._check_hosts(plat, now)
 
     def _avg_rate(self, now: float, node: str, stage: str) -> float:
         # The runtime marks "repro_stage_records" with (node, stage) labels
@@ -176,16 +165,16 @@ class Speculator:
             active.append((shard, owner, self._avg_rate(now, f"asu{owner}", "distribute")))
         if len(active) < 2 or self.n_hedges >= pol.max_hedges:
             return
-        thr = self._threshold([r for _s, _o, r in active])
+        thr = laggard_threshold([r for _s, _o, r in active], self.rng)
         for shard, owner, rate in active:
             if rate >= thr:
                 continue
-            if self.hedged.get(shard, 0) >= pol.max_hedges_per_shard:
+            if self.hedged.get(shard, 0) >= MAX_HEDGES_PER_SHARD:
                 continue
             remaining = self._shard_blocks(shard) - sum(
                 1 for (s, _b) in job._blocks_complete if s == shard
             )
-            if remaining < pol.min_remaining_blocks:
+            if remaining < MIN_REMAINING_BLOCKS:
                 continue
             helper = self._pick_helper(now, owner)
             if helper is None:
@@ -207,7 +196,7 @@ class Speculator:
         return best
 
     def _hedge(self, plat, now, shard, owner, helper, rate, thr) -> None:
-        job, pol = self.job, self.policy
+        job = self.job
         blk = job.params.block_records
         rs = job.params.schema.record_size
         plat.spawn(
@@ -244,7 +233,7 @@ class Speculator:
             rates.append((h, self._avg_rate(now, f"host{h}", "sort")))
         if len(rates) < 2:
             return
-        thr = self._threshold([r for _h, r in rates])
+        thr = laggard_threshold([r for _h, r in rates], self.rng)
         for h, rate in rates:
             if rate < thr and h not in self._steered:
                 self._steered.add(h)

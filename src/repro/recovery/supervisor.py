@@ -104,10 +104,10 @@ class JobSupervisor:
     Pass ``registry`` to meter the supervision itself
     (``repro_supervisor_*`` counters).  When several supervised jobs share
     one registry — the multi-tenant scheduler does exactly this — each
-    supervisor MUST carry a distinct ``job_id``: its counters (and, via the
-    sort's ``job_id``, the job's own stage/routing instruments) are then
+    sort MUST carry a distinct ``job_id``: the supervisor takes it, so its
+    counters (and the job's own stage/routing instruments) are then
     labelled ``job=<id>`` instead of assuming exclusive ownership of the
-    registry namespace.  ``job_id`` defaults to the sort's own ``job_id``.
+    registry namespace.
     """
 
     def __init__(
@@ -116,12 +116,11 @@ class JobSupervisor:
         budget: Optional[RestartBudget] = None,
         *,
         registry=None,
-        job_id: Optional[str] = None,
     ):
         self.sort = sort
         self.budget = budget if budget is not None else RestartBudget()
         self.registry = registry
-        self.job_id = job_id if job_id is not None else getattr(sort, "job_id", None)
+        self.job_id = getattr(sort, "job_id", None)
         self._job_labels = {"job": self.job_id} if self.job_id is not None else {}
 
     def _count(self, name: str, dv: float = 1.0, **labels) -> None:

@@ -4,7 +4,7 @@
   ordered-replica-set mapping: uniform within sampling noise, and resizing
   the fleet N -> N±1 relocates only ~1/N of assignments;
 - :mod:`~repro.replica.manager` — the :class:`ReplicationManager` state
-  machine: write fan-out under an ``all``/``quorum`` policy, promotion on
+  machine: write fan-out to every planned replica, promotion on
   ASU crash (zero run re-emission when r >= 2), gauge-steered read plans;
 - :mod:`~repro.replica.durability` — ``ReplicatedRuns``, which drives the
   manager (and the anti-entropy repair loop) behind the fault-tolerant

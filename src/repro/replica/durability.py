@@ -134,7 +134,7 @@ class ReplicatedRuns(RunDurability):
 
     def asu_lost(self, node) -> int:
         """Promotion: surviving copies keep satisfied sets counted, only
-        sets that lost their write policy subtract; the manager also
+        sets that no longer count subtract; the manager also
         rewrites the manifest frontier (purge the dead ASU, re-log promoted
         sets at a survivor).  An expelled-but-alive node's copies are
         snapshotted first, with content digests, so a later re-admission can

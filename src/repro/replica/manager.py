@@ -13,9 +13,8 @@ model: repair bandwidth, not replay bandwidth, is the recovery currency).
 The :class:`ReplicationManager` owns the logical view (``ReplicaSet`` per
 emitted run) while ``runs_on_asu`` keeps holding the physical copies.  Its
 account is invariant-driven: a set is *counted* toward the job's durable
-total exactly when its write policy is satisfied by the currently-durable
-copies of its currently-planned replicas, so crashes re-derive counting
-instead of patching it.
+total exactly when every currently-planned replica holds a durable copy, so
+crashes re-derive counting instead of patching it.
 
 Read steering (the pass-2 plan and repair sources) runs over registry gauge
 vectors — the same feedback mechanism the load manager routes functor work
@@ -34,51 +33,35 @@ from .placement import ReplicaPlacement
 
 __all__ = ["ReplicaSet", "ReplicationConfig", "ReplicationManager"]
 
-#: write policies: ``all`` counts a run durable when every planned replica
-#: holds it; ``quorum`` when a majority of the configured ``r`` does.
-WRITE_POLICIES = ("all", "quorum")
-
-
 class ReplicationConfig:
     """How a job replicates its runs.
 
-    ``r`` copies per run, written under ``write_policy``; the anti-entropy
-    loop re-replicates under-replicated sets every ``repair_interval``
-    virtual seconds, pacing itself to ``repair_bandwidth`` bytes/s (``None``
-    derives a default from the platform disk rate) so repair traffic shares
-    the fleet instead of stampeding it.  ``placement_seed`` decorrelates the
-    replica placement of jobs sharing one fleet.
+    ``r`` copies per run, a run counting as durable once every planned
+    replica holds it; the anti-entropy loop re-replicates under-replicated
+    sets every ``repair_interval`` virtual seconds, pacing itself to
+    ``repair_bandwidth`` bytes/s (``None`` derives a default from the
+    platform disk rate) so repair traffic shares the fleet instead of
+    stampeding it.
     """
 
     def __init__(
         self,
         r: int = 2,
-        write_policy: str = "all",
         repair_interval: float = 0.05,
         repair_bandwidth: Optional[float] = None,
-        placement_seed: int = 0,
     ):
         if r < 1:
             raise ValueError(f"replication factor must be >= 1, got {r}")
-        if write_policy not in WRITE_POLICIES:
-            raise ValueError(
-                f"write_policy must be one of {WRITE_POLICIES}, got "
-                f"{write_policy!r}"
-            )
         if repair_interval <= 0:
             raise ValueError("repair_interval must be positive")
         if repair_bandwidth is not None and repair_bandwidth <= 0:
             raise ValueError("repair_bandwidth must be positive")
         self.r = int(r)
-        self.write_policy = write_policy
         self.repair_interval = float(repair_interval)
         self.repair_bandwidth = repair_bandwidth
-        self.placement_seed = int(placement_seed)
 
     def __repr__(self) -> str:
-        return (
-            f"ReplicationConfig(r={self.r}, write_policy={self.write_policy!r})"
-        )
+        return f"ReplicationConfig(r={self.r})"
 
 
 class ReplicaSet:
@@ -136,9 +119,7 @@ class ReplicationManager:
         #: by default, so the state machine logs without asking
         self.journal = journal
         self.tracer = tracer
-        self.placement = ReplicaPlacement(
-            n_asus, seed=config.placement_seed
-        )
+        self.placement = ReplicaPlacement(n_asus)
         self.sets: dict[tuple, ReplicaSet] = {}
         self._dead: set[int] = set()
         self._seq = 0
@@ -179,10 +160,7 @@ class ReplicationManager:
 
     # -- counting invariant ---------------------------------------------------
     def _needed(self, st: ReplicaSet) -> int:
-        plan = len(st.copies | st.targets)
-        if self.config.write_policy == "quorum":
-            return max(1, min(self.config.r // 2 + 1, plan))
-        return max(1, plan)
+        return max(1, len(st.copies | st.targets))
 
     def _recount(self, st: ReplicaSet) -> int:
         """Re-derive ``counted``; returns the durable-record delta."""
@@ -242,9 +220,9 @@ class ReplicationManager:
         """A replica write became durable at ``dest``.
 
         Returns ``(durable_delta, fresh_copy)``: the records to add to the
-        job's durable count (non-zero only when the write policy is newly
-        satisfied), and whether this copy is new at ``dest`` (the caller
-        appends the physical run exactly once per holder).
+        job's durable count (non-zero only when the set newly counts), and
+        whether this copy is new at ``dest`` (the caller appends the
+        physical run exactly once per holder).
 
         The write is fenced by the membership: under epoch fencing a
         ``dest`` outside the current view (or holding a stale admission
@@ -381,7 +359,7 @@ class ReplicationManager:
         copy (the signature of a split-brain write) is counted and refused,
         leaving repair to the anti-entropy loop.  Returns
         ``(durable_delta, adopted)``; the delta is non-zero only when the
-        set was stranded and this copy newly satisfies the write policy.
+        set was stranded and this copy makes it count again.
         """
         from ..recovery.manifest import digest_records
 

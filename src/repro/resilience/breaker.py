@@ -3,7 +3,7 @@
 A :class:`CircuitBreaker` follows the classic three-state protocol:
 
 - **closed** — traffic flows; consecutive delivery failures are counted.
-- **open** — tripped after ``fail_threshold`` consecutive failures.  The
+- **open** — tripped after :data:`FAIL_THRESHOLD` consecutive failures.  The
   routing layer treats the link as unhealthy (``healthy`` is False) and
   steers new work elsewhere; already-queued retransmissions keep probing.
 - **half-open** — entered lazily once ``cooldown`` simulated seconds have
@@ -25,7 +25,10 @@ from typing import Hashable, Optional
 
 from ..sim import Simulator
 
-__all__ = ["CircuitBreaker", "BreakerBoard"]
+__all__ = ["CircuitBreaker", "BreakerBoard", "FAIL_THRESHOLD"]
+
+#: consecutive delivery failures that trip a closed breaker
+FAIL_THRESHOLD = 5
 
 
 class CircuitBreaker:
@@ -34,20 +37,11 @@ class CircuitBreaker:
     CLOSED, OPEN, HALF_OPEN = 0, 1, 2
     _NAMES = {CLOSED: "closed", OPEN: "open", HALF_OPEN: "half-open"}
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        fail_threshold: int = 5,
-        cooldown: float = 0.05,
-    ):
-        if fail_threshold < 1:
-            raise ValueError("fail_threshold must be at least 1")
+    def __init__(self, sim: Simulator, name: str, cooldown: float = 0.05):
         if cooldown <= 0:
             raise ValueError("cooldown must be positive")
         self.sim = sim
         self.name = name
-        self.fail_threshold = int(fail_threshold)
         self.cooldown = float(cooldown)
         self._state = self.CLOSED
         self._fails = 0
@@ -99,12 +93,12 @@ class CircuitBreaker:
                 # Same-instant race with the success that just closed the
                 # half-open probe: both outcomes were in flight together, so
                 # the link is still suspect — the failure wins and re-trips
-                # rather than being absorbed as 1 of ``fail_threshold``
+                # rather than being absorbed as 1 of ``FAIL_THRESHOLD``
                 # fresh-window failures.
                 self._trip()
                 return
             self._fails += 1
-            if self._fails >= self.fail_threshold:
+            if self._fails >= FAIL_THRESHOLD:
                 self._trip()
 
     def record_success(self) -> None:
@@ -149,9 +143,8 @@ class BreakerBoard:
     extra instruments), keeping fault-free runs bit-identical.
     """
 
-    def __init__(self, sim: Simulator, fail_threshold: int = 5, cooldown: float = 0.05):
+    def __init__(self, sim: Simulator, cooldown: float = 0.05):
         self.sim = sim
-        self.fail_threshold = int(fail_threshold)
         self.cooldown = float(cooldown)
         self._breakers: dict[frozenset, CircuitBreaker] = {}
 
@@ -161,7 +154,7 @@ class BreakerBoard:
         br = self._breakers.get(key)
         if br is None:
             name = "<->".join(sorted((str(a), str(b))))
-            br = CircuitBreaker(self.sim, name, self.fail_threshold, self.cooldown)
+            br = CircuitBreaker(self.sim, name, self.cooldown)
             self._breakers[key] = br
         return br
 

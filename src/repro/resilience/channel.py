@@ -19,10 +19,9 @@ classic protocol:
 - a bounded **credit window** caps in-flight unacked messages per
   destination: ``wait_window`` blocks the sender, charging simulated time,
   which is the backpressure signal the load manager consumes
-  (:meth:`repro.core.load_manager.LoadManager.backpressure_begin`);
-- an optional **bounded inbox** blocks the receive loop when the application
-  falls behind, which stalls acks and thereby closes the sender's window —
-  end-to-end backpressure.
+  (:meth:`repro.core.load_manager.LoadManager.backpressure_begin`).  The
+  receiver's inbox is unbounded: a copy is acked on clean arrival, before
+  the application consumes it.
 
 Delivery outcomes feed the optional
 :class:`~repro.resilience.breaker.BreakerBoard` (ack = success, timeout =
@@ -176,7 +175,6 @@ class ReliableEndpoint:
         rng: Optional[np.random.Generator] = None,
         policy: Optional[RetryPolicy] = None,
         board=None,
-        inbox_capacity: Optional[int] = None,
         on_undeliverable=lambda dst, tag, payload: None,
     ):
         self.plat = plat
@@ -189,7 +187,7 @@ class ReliableEndpoint:
         #: transfers abandoned unacknowledged because this node died
         self.orphans: list[_Pending] = []
         #: delivered (deduped) messages, awaiting application recv
-        self.inbox = Store(self.sim, capacity=inbox_capacity, name=f"rel:{node.node_id}")
+        self.inbox = Store(self.sim, name=f"rel:{node.node_id}")
         self.stats = ChannelStats()
         self._seq = 0
         self._pending: dict[int, _Pending] = {}
@@ -432,12 +430,7 @@ class ReliableEndpoint:
                 continue
             self._seen.add(key)
             self.stats.n_delivered += 1
-            delivery = Message(src, node.node_id, p[4], msg.nbytes, tag=msg.tag)
-            ev = self.inbox.put(delivery)
-            if not ev.triggered:
-                # Bounded inbox is full: stall the receive loop (and with it
-                # our acks) until the application catches up — backpressure.
-                yield ev
+            self.inbox.put(Message(src, node.node_id, p[4], msg.nbytes, tag=msg.tag))
 
     def recv(self):
         """Process generator: next deduped application message."""

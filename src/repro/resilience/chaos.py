@@ -320,7 +320,7 @@ def partition_scenario(n_records: int, t0: float, plan: FaultPlan, seed: int = 0
     """
     job = reliable_job(
         n_records, t0, plan, seed=seed, replication=ReplicationConfig(r=2),
-        detection_mode="network", probe_timeout=t0 / 10,
+        detection_mode="network",
     )
     res, _makespan, verified = sort_verified(job, deadline=20.0 * t0)
     return job, res, verified
@@ -363,7 +363,7 @@ def _case_record(
 def _chaos_dsmsort(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """DSM-Sort run formation under seeded message/disk/crash chaos."""
     plan = _fault_plan(
-        seed, t0, mttf_asu=8.0 * t0, mttf_host=16.0 * t0, max_crashes=1
+        seed, t0, mttf_asu=8.0 * t0, mttf_host=16.0 * t0
     )
     job = reliable_job(n_records, t0, plan)
     res, _makespan, sorted_ok = sort_verified(job, deadline=12.0 * t0)
@@ -386,8 +386,7 @@ def _chaos_filterscan(seed: int, n_records: int, t0: float, amp_bound: float) ->
     # no crashes: the scan has no replica recovery, so reliability must come
     # from the channel alone
     plan = _fault_plan(
-        seed, t0, mtt_degrade=3.0 * t0, degrade_factor=0.5,
-        degrade_duration=t0 / 4,
+        seed, t0, mtt_degrade=3.0 * t0, degrade_duration=t0 / 4,
     )
     app = ResilientFilterScan(
         chaos_params(), n_records, seed=0, policy=_policy_for(t0), faults=plan

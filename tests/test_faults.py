@@ -278,19 +278,21 @@ class TestFaultKindTable:
 class TestRandomFaultModel:
     def test_same_seed_same_plan(self):
         p = small_params()
-        kw = dict(mttf_asu=1.0, mttf_host=3.0, mtt_degrade=0.7, mtt_flap=0.5)
+        kw = dict(mttf_asu=1.0, mttf_host=3.0, mtt_degrade=0.7)
         a = RandomFaultModel(seed=11, **kw).plan(p, horizon=2.0)
         b = RandomFaultModel(seed=11, **kw).plan(p, horizon=2.0)
         assert [f.describe() for f in a] == [f.describe() for f in b]
         c = RandomFaultModel(seed=12, **kw).plan(p, horizon=2.0)
         assert [f.describe() for f in a] != [f.describe() for f in c]
 
-    def test_max_crashes_cap(self):
+    def test_one_crash_per_class_cap(self):
+        # Every device's crash stream fires many times over the horizon; the
+        # plan keeps only the earliest crash of each class.
         p = small_params()
-        plan = RandomFaultModel(seed=0, mttf_asu=0.01, max_crashes=2).plan(
+        plan = RandomFaultModel(seed=0, mttf_asu=0.01, mttf_host=0.01).plan(
             p, horizon=10.0
         )
-        assert sum(1 for f in plan if f.kind == "crash_asu") == 2
+        assert sorted(f.kind for f in plan) == ["crash_asu", "crash_host"]
 
     def test_disabled_classes_yield_empty_plan(self):
         assert len(RandomFaultModel(seed=0).plan(small_params(), horizon=10.0)) == 0
@@ -313,12 +315,9 @@ class TestRandomFaultModel:
         # The message/disk classes draw *after* the legacy classes from the
         # same stream, so enabling them leaves the legacy faults unchanged.
         p = small_params()
-        legacy = RandomFaultModel(seed=5, mttf_asu=1.0, max_crashes=2).plan(
-            p, horizon=5.0
-        )
+        legacy = RandomFaultModel(seed=5, mttf_asu=1.0).plan(p, horizon=5.0)
         both = RandomFaultModel(
-            seed=5, mttf_asu=1.0, max_crashes=2,
-            mtt_drop=0.5, msg_fault_duration=0.1,
+            seed=5, mttf_asu=1.0, mtt_drop=0.5, msg_fault_duration=0.1,
         ).plan(p, horizon=5.0)
         assert [f.describe() for f in legacy] == [
             f.describe() for f in both if f.kind == "crash_asu"

@@ -9,6 +9,7 @@ replay that skips a shipped fragment must have recomputed the same bytes — is
 exercised, in plain FT mode.
 """
 
+import dataclasses
 import inspect
 import re
 
@@ -18,8 +19,17 @@ from repro.core.config import DSMConfig
 from repro.dsmsort.journal import NO_JOURNAL, NoJournal
 from repro.dsmsort.runtime import DsmSortJob
 from repro.emulator.params import SystemParams
-from repro.faults import FaultPlan
-from repro.recovery import CheckpointError, RestoredState, RunManifest
+from repro.faults import FailureDetector, FaultPlan, RandomFaultModel
+from repro.recovery import (
+    CheckpointError,
+    JobSupervisor,
+    RecoverableSort,
+    RestoredState,
+    RunManifest,
+    SpeculationPolicy,
+)
+from repro.replica import ReplicationConfig
+from repro.resilience import BreakerBoard, CircuitBreaker, ReliableEndpoint
 
 from .test_transport import SRC, _public_callables
 
@@ -107,6 +117,31 @@ class TestForkRatchet:
             for pat in FORK_RATCHET[rel]
         }
         assert all(counts[pat] <= cap for pat, cap in FORK_RATCHET[rel].items()), counts
+
+
+#: parameters each fault-tolerance constructor takes (a dataclass's fields).
+#: Compared with ``==``: an option nobody varies is a constant, so adding one
+#: — or regrouping options into a config object — means editing this row.
+OPTION_RATCHET = {
+    FailureDetector: 4, DsmSortJob: 23, RandomFaultModel: 13,
+    SpeculationPolicy: 4, ReplicationConfig: 3, RecoverableSort: 9,
+    JobSupervisor: 3, CircuitBreaker: 3, BreakerBoard: 2, ReliableEndpoint: 6,
+}
+
+
+def _n_options(cls) -> int:
+    if dataclasses.is_dataclass(cls):
+        return len(dataclasses.fields(cls))
+    return len(inspect.signature(cls).parameters)
+
+
+class TestOptionRatchet:
+    @pytest.mark.parametrize("cls", OPTION_RATCHET, ids=lambda c: c.__name__)
+    def test_option_count_is_pinned(self, cls):
+        assert _n_options(cls) == OPTION_RATCHET[cls]
+
+    def test_the_stack_takes_seventy_options(self):
+        assert sum(map(_n_options, OPTION_RATCHET)) == 70
 
 
 class TestDivergentReplay:

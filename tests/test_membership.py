@@ -108,43 +108,27 @@ class TestPartitionFaultKind:
 
 
 class TestDrawOrderPin:
-    """The draw-order contract: enabling partitions must not shift any
-    earlier class's draws, and committed seeded plans stay bit-identical."""
+    """Committed seeded plans stay bit-identical: every class's draws are
+    pinned in one snapshot."""
 
     PIN_KW = dict(
-        seed=7, mttf_asu=3.0, mttf_host=6.0, mtt_degrade=4.0, mtt_flap=5.0,
+        seed=7, mttf_asu=3.0, mttf_host=6.0, mtt_degrade=4.0,
         mtt_drop=6.0, mtt_dup=7.0, mtt_delay=8.0, mtt_corrupt=9.0,
-        mtt_disk_fault=5.0, mtt_lose_replica=4.0, max_crashes=2,
+        mtt_disk_fault=5.0,
     )
 
-    def test_partition_draws_do_not_perturb_committed_plans(self):
-        p = small_params()
-        legacy = RandomFaultModel(**self.PIN_KW).plan(p, horizon=2.0)
-        both = RandomFaultModel(
-            mtt_partition=1.0, partition_duration=0.3, **self.PIN_KW
-        ).plan(p, horizon=2.0)
-        assert [f.describe() for f in legacy] == [
-            f.describe() for f in both if f.kind != "partition"
-        ]
-        assert any(f.kind == "partition" for f in both)
-
     def test_golden_snapshot(self):
-        # Hard pin of a committed seeded plan.  If this fails, a new fault
-        # class drew *before* an existing one — move its draws to the end of
-        # RandomFaultModel.plan (the draw-order contract in injector.py).
+        # Hard pin of a committed seeded plan.  If this fails, some class's
+        # draws moved — a new class must draw after every existing one.
         plan = RandomFaultModel(**self.PIN_KW).plan(small_params(), horizon=2.0)
         descs = [f.describe() for f in plan]
-        assert len(descs) == 24
-        assert descs[0] == "t=0.050 drop-msgs host1<->asu1 for 0.020s"
-        assert descs[-1] == "t=1.893 drop-msgs host0<->asu2 for 0.020s"
+        assert len(descs) == 13
+        assert descs[0] == "t=0.058 dup-msgs host1<->asu3 for 0.020s"
+        assert descs[-1] == "t=1.502 corrupt-msgs host1<->asu1 for 0.020s"
         digest = hashlib.sha256("\n".join(descs).encode()).hexdigest()
         assert digest == (
-            "9a26287cf52af20a70a4898a4e6f39501ac49553858de1c55d9274254f8a510b"
+            "da81c5ff99132f37ccec00af7c4487565015daf9c18c494d46bca707ee649a5a"
         )
-
-    def test_mixed_asymmetry_validated(self):
-        with pytest.raises(ValueError, match="'mixed'"):
-            RandomFaultModel(seed=0, partition_asymmetry="diag")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +308,7 @@ class TestViewService:
 # network-mode failure detection
 # ---------------------------------------------------------------------------
 #: binary-exact cadence so beat and sweep instants are representable floats
-ND = dict(mode="network", interval=0.0625, timeout=0.25, probe_timeout=0.25)
+ND = dict(mode="network", interval=0.0625, timeout=0.25)
 
 
 class TestNetworkDetector:
@@ -482,7 +466,7 @@ def make_partition_job(faults, t0, **over):
         retry_policy=RetryPolicy(timeout=t0 / 50, window=64),
         replication=ReplicationConfig(r=2),
         heartbeat_interval=t0 / 40, heartbeat_timeout=t0 / 10,
-        detection_mode="network", probe_timeout=t0 / 10,
+        detection_mode="network",
     )
     defaults.update(over)
     return DsmSortJob(params, cfg, **defaults)

@@ -62,8 +62,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="replication factor"):
             ReplicationConfig(r=0)
-        with pytest.raises(ValueError, match="write_policy"):
-            ReplicationConfig(write_policy="most")
         with pytest.raises(ValueError, match="repair_interval"):
             ReplicationConfig(repair_interval=0)
         with pytest.raises(ValueError, match="repair_bandwidth"):
@@ -147,24 +145,6 @@ class TestPromotionTakeover:
         assert out.tobytes() == ref_out.tobytes()
 
 
-class TestQuorum:
-    def test_quorum_counts_majority(self, reference):
-        _job, r1, out = sort_once(
-            FaultPlan([]), ReplicationConfig(r=3, write_policy="quorum")
-        )
-        assert r1.completed
-        assert out.tobytes() == reference[1].tobytes()
-
-    def test_quorum_kill(self, reference):
-        t0, ref_out = reference
-        plan = FaultPlan([crash_asu(0.8 * t0, 0)])
-        _job, r1, out = sort_once(
-            plan, ReplicationConfig(r=3, write_policy="quorum")
-        )
-        assert r1.completed and r1.n_reemitted_runs == 0
-        assert out.tobytes() == ref_out.tobytes()
-
-
 class TestMediaLossRepair:
     def test_lose_replica_absorbed(self, reference):
         t0, ref_out = reference
@@ -198,7 +178,7 @@ class TestMediaLossRepair:
         under = reg.gauge("repro_replica_underreplicated")
         assert under.sample(0.0) == 0.0  # targets in flight count as planned
         delta, fresh = mgr.copy_durable(key, targets[0])
-        assert fresh and delta == 0  # policy "all" needs both copies
+        assert fresh and delta == 0  # a run counts once both copies land
         delta, fresh = mgr.copy_durable(key, targets[1])
         assert fresh and delta == 10
         assert mgr.copy_durable(key, targets[1]) == (0, False)  # dup copy
@@ -273,52 +253,23 @@ class TestUnrecoverableAbort:
 
 
 class TestDrawOrderPin:
-    """Regression pin for the RandomFaultModel draw-order contract.
-
-    ``mtt_lose_replica`` draws strictly AFTER every legacy fault class, so
-    enabling it must never shift the draws of a committed seeded plan.  Any
-    future fault class owes the same append-only discipline (see the comment
-    in :meth:`RandomFaultModel.plan`).
-    """
-
-    KW = dict(
-        seed=42, mttf_asu=0.5, mttf_host=1.0, max_crashes=1, mtt_degrade=0.6,
-        mtt_flap=0.8, mtt_drop=0.4, mtt_dup=0.5, mtt_delay=0.5,
-        mtt_corrupt=0.6, mtt_disk_fault=0.5,
-    )
-
-    def test_legacy_subsequence_unchanged(self):
-        from repro.faults.injector import RandomFaultModel
-
-        params = small_params()
-        legacy = RandomFaultModel(**self.KW).plan(params, horizon=0.3)
-        both = RandomFaultModel(mtt_lose_replica=0.2, **self.KW).plan(
-            params, horizon=0.3
-        )
-        assert [f.describe() for f in legacy.faults] == [
-            f.describe() for f in both.faults if f.kind != "lose_replica"
-        ]
-        assert sum(1 for f in both.faults if f.kind == "lose_replica") > 0
+    """Regression pin for the RandomFaultModel draw order: a committed
+    seeded plan never moves."""
 
     def test_seeded_plan_snapshot(self):
         # Hardcoded draw snapshot: fails if anyone perturbs the rng
         # consumption order (e.g. interleaves a new class mid-plan).
         from repro.faults.injector import RandomFaultModel
 
-        plan = RandomFaultModel(
-            seed=7, mttf_asu=0.5, max_crashes=1, mtt_drop=0.4,
-            mtt_lose_replica=0.3,
-        ).plan(small_params(), horizon=0.25)
+        plan = RandomFaultModel(seed=7, mttf_asu=0.5, mtt_drop=0.4).plan(
+            small_params(), horizon=0.25
+        )
         assert [(f.kind, f.index, round(f.t, 12)) for f in plan.faults] == [
             ("drop_msg", 0, 0.00390145066),
-            ("lose_replica", 2, 0.02251845161),
-            ("lose_replica", 2, 0.040532354627),
             ("drop_msg", 0, 0.082613101607),
             ("drop_msg", 1, 0.088828504953),
             ("drop_msg", 0, 0.216454357675),
-            ("lose_replica", 0, 0.220757182094),
             ("drop_msg", 0, 0.23013310254),
-            ("lose_replica", 3, 0.23187169531),
         ]
 
 

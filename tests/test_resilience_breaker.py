@@ -4,6 +4,7 @@ import pytest
 
 from repro.metrics import MetricsRegistry
 from repro.resilience import BreakerBoard, CircuitBreaker
+from repro.resilience.breaker import FAIL_THRESHOLD
 from repro.sim import Simulator
 
 
@@ -13,19 +14,23 @@ def advance(sim, to):
     sim.run()
 
 
+def trip(record_failure, *link):
+    """Record the ``FAIL_THRESHOLD`` consecutive failures that trip a breaker."""
+    for _ in range(FAIL_THRESHOLD):
+        record_failure(*link)
+
+
 class TestCircuitBreaker:
     def test_parameter_validation(self):
         sim = Simulator()
-        with pytest.raises(ValueError, match="fail_threshold"):
-            CircuitBreaker(sim, "l", fail_threshold=0)
         with pytest.raises(ValueError, match="cooldown"):
             CircuitBreaker(sim, "l", cooldown=0.0)
 
     def test_trips_after_threshold_consecutive_failures(self):
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=3, cooldown=1.0)
-        br.record_failure()
-        br.record_failure()
+        br = CircuitBreaker(sim, "l", cooldown=1.0)
+        for _ in range(FAIL_THRESHOLD - 1):
+            br.record_failure()
         assert br.state == CircuitBreaker.CLOSED and br.healthy
         br.record_failure()
         assert br.state == CircuitBreaker.OPEN and not br.healthy
@@ -33,17 +38,17 @@ class TestCircuitBreaker:
 
     def test_success_resets_the_failure_count(self):
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=3, cooldown=1.0)
+        br = CircuitBreaker(sim, "l", cooldown=1.0)
         for _ in range(10):
-            br.record_failure()
-            br.record_failure()
-            br.record_success()  # never three in a row
+            for _ in range(FAIL_THRESHOLD - 1):
+                br.record_failure()
+            br.record_success()  # never FAIL_THRESHOLD in a row
         assert br.state == CircuitBreaker.CLOSED and br.n_trips == 0
 
     def test_half_open_after_cooldown_then_success_closes(self):
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=1, cooldown=0.5)
-        br.record_failure()
+        br = CircuitBreaker(sim, "l", cooldown=0.5)
+        trip(br.record_failure)
         assert not br.healthy
         advance(sim, 0.25)
         assert br.state == CircuitBreaker.OPEN  # cooldown not elapsed
@@ -55,8 +60,8 @@ class TestCircuitBreaker:
 
     def test_failure_in_half_open_re_trips(self):
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=1, cooldown=0.5)
-        br.record_failure()
+        br = CircuitBreaker(sim, "l", cooldown=0.5)
+        trip(br.record_failure)
         advance(sim, 1.0)
         assert br.state == CircuitBreaker.HALF_OPEN
         br.record_failure()
@@ -70,13 +75,12 @@ class TestCircuitBreaker:
     def test_half_open_same_instant_race_failure_wins(self):
         """Regression: a success and a failure resolving at the same virtual
         instant as the half-open probe must re-trip, not leave the breaker
-        closed with the failure absorbed as 1 of ``fail_threshold`` fresh
+        closed with the failure absorbed as 1 of ``FAIL_THRESHOLD`` fresh
         failures.  Both outcomes were in flight together, so the link is
         still suspect."""
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=5, cooldown=0.5)
-        for _ in range(5):
-            br.record_failure()
+        br = CircuitBreaker(sim, "l", cooldown=0.5)
+        trip(br.record_failure)
         assert br.state == CircuitBreaker.OPEN
         advance(sim, 1.0)
         assert br.state == CircuitBreaker.HALF_OPEN
@@ -87,21 +91,20 @@ class TestCircuitBreaker:
 
     def test_failure_after_half_open_close_at_later_instant_is_fresh(self):
         """The race rule applies only at the exact closing instant: a later
-        failure starts a fresh fail_threshold window as usual."""
+        failure starts a fresh FAIL_THRESHOLD window as usual."""
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=3, cooldown=0.5)
-        for _ in range(3):
-            br.record_failure()
+        br = CircuitBreaker(sim, "l", cooldown=0.5)
+        trip(br.record_failure)
         advance(sim, 1.0)
         br.record_success()  # half-open -> closed at t=1.0
         advance(sim, 1.5)
-        br.record_failure()  # one of three; not the same instant
+        br.record_failure()  # one of FAIL_THRESHOLD; not the same instant
         assert br.state == CircuitBreaker.CLOSED and br.n_trips == 1
 
     def test_transition_history(self):
         sim = Simulator()
-        br = CircuitBreaker(sim, "l", fail_threshold=1, cooldown=0.5)
-        br.record_failure()
+        br = CircuitBreaker(sim, "l", cooldown=0.5)
+        trip(br.record_failure)
         advance(sim, 1.0)
         br.state  # observe: lazily records the half-open transition
         br.record_success()
@@ -112,10 +115,10 @@ class TestCircuitBreaker:
     def test_state_gauge_reports_raw_state(self):
         sim = Simulator()
         sim.metrics = MetricsRegistry()
-        br = CircuitBreaker(sim, "host0<->asu1", fail_threshold=1, cooldown=0.5)
+        br = CircuitBreaker(sim, "host0<->asu1", cooldown=0.5)
         g = sim.metrics.get("repro_breaker_state", link="host0<->asu1")
         assert g is not None and g.sample(sim.now) == 0.0
-        br.record_failure()
+        trip(br.record_failure)
         assert g.sample(sim.now) == 1.0
         # Scraping after the cooldown must NOT advance the lazy transition:
         # the gauge reads _state raw.
@@ -131,7 +134,7 @@ class TestCircuitBreaker:
 class TestBreakerBoard:
     def test_lazy_creation_on_first_failure(self):
         sim = Simulator()
-        board = BreakerBoard(sim, fail_threshold=2, cooldown=0.5)
+        board = BreakerBoard(sim, cooldown=0.5)
         assert len(board) == 0
         # Success on an unknown link allocates nothing (fault-free runs stay
         # allocation-identical to runs without a board).
@@ -143,17 +146,19 @@ class TestBreakerBoard:
 
     def test_key_is_unordered(self):
         sim = Simulator()
-        board = BreakerBoard(sim, fail_threshold=2, cooldown=0.5)
-        board.record_failure("host0", "asu3")
-        board.record_failure("asu3", "host0")
+        board = BreakerBoard(sim, cooldown=0.5)
+        # Failures alternate between the two spellings of one link; they
+        # count toward one breaker, so FAIL_THRESHOLD of them trip it.
+        for i in range(FAIL_THRESHOLD):
+            board.record_failure(*(("host0", "asu3") if i % 2 else ("asu3", "host0")))
         assert len(board) == 1
         assert not board.healthy("host0", "asu3")
 
     def test_open_links_and_trip_count(self):
         sim = Simulator()
-        board = BreakerBoard(sim, fail_threshold=1, cooldown=0.5)
-        board.record_failure("host1", "asu0")
-        board.record_failure("host0", "asu2")
+        board = BreakerBoard(sim, cooldown=0.5)
+        trip(board.record_failure, "host1", "asu0")
+        trip(board.record_failure, "host0", "asu2")
         board.record_failure("host0", "asu2")  # already open: no extra trip
         assert board.open_links() == ["asu0<->host1", "asu2<->host0"]
         assert board.n_trips() == 2
@@ -162,8 +167,8 @@ class TestBreakerBoard:
 
     def test_recovery_closes_via_half_open(self):
         sim = Simulator()
-        board = BreakerBoard(sim, fail_threshold=1, cooldown=0.25)
-        board.record_failure("host0", "asu0")
+        board = BreakerBoard(sim, cooldown=0.25)
+        trip(board.record_failure, "host0", "asu0")
         assert not board.healthy("host0", "asu0")
         advance(sim, 0.5)
         board.record_success("host0", "asu0")
