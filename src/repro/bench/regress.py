@@ -12,7 +12,12 @@ Comparison rules:
 * ``schema_version`` must match :data:`repro.bench.report.SCHEMA_VERSION`
   exactly on both sides — mismatched layouts are a gate failure, not a diff.
 * numbers compare with relative tolerance (``--rtol``, default 2%) plus an
-  absolute floor (``--atol``) for values near zero;
+  absolute floor (``--atol``) for values near zero; a non-finite number
+  matches only the same infinity, and a NaN never matches (the tolerance
+  test alone would pass it, being False whenever either side is NaN);
+* files are parsed strictly: :func:`repro.bench.report.canonical_json` never
+  writes ``NaN`` or ``Infinity``, so a file holding one is malformed, not a
+  diff (``ValueError``; exit status 2 from the CLI);
 * strings, booleans and nulls compare exactly;
 * lists compare element-wise (length mismatch fails);
 * dicts compare key-wise (a key present on only one side fails);
@@ -21,8 +26,8 @@ Comparison rules:
   passes, so adding a benchmark does not require a two-step dance.
 
 Run as ``python -m repro.bench.regress --candidate <dir>`` (exit status 1 on
-any regression), or call :func:`compare_payloads` / :func:`compare_dirs`
-directly from tests.
+any regression, 2 on a missing baseline directory or a malformed file), or
+call :func:`compare_payloads` / :func:`compare_dirs` directly from tests.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -77,6 +83,10 @@ def compare_values(
 ) -> Iterator[Diff]:
     """Yield a :class:`Diff` for every out-of-tolerance leaf under ``path``."""
     if _is_number(base) and _is_number(cand):
+        if not (math.isfinite(base) and math.isfinite(cand)):
+            if base != cand:
+                yield Diff(path, base, cand, note="non-finite")
+            return
         err = abs(cand - base)
         if err > atol + rtol * abs(base):
             rel = err / abs(base) if base else float("inf")
@@ -176,13 +186,27 @@ def _bench_files(dirname: str) -> dict[str, str]:
     }
 
 
+def _load_strict(path: str):
+    """Parse one bench file, refusing the non-standard ``NaN``/``Infinity``."""
+
+    def refuse(token):
+        raise ValueError(f"{path}: non-finite number {token} in bench JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def compare_dirs(
     baseline_dir: str,
     candidate_dir: str,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> RegressReport:
-    """Compare every ``BENCH_*.json`` under two directories."""
+    """Compare every ``BENCH_*.json`` under two directories.
+
+    Raises ``ValueError`` naming the file when either side holds a ``NaN``
+    or ``Infinity`` literal.
+    """
     base_files = _bench_files(baseline_dir)
     cand_files = _bench_files(candidate_dir)
     report = RegressReport(compared=[], new=[], missing=[], failures={})
@@ -191,10 +215,8 @@ def compare_dirs(
             report.new.append(name)
             continue
         report.compared.append(name)
-        with open(base_files[name]) as fh:
-            base = json.load(fh)
-        with open(cpath) as fh:
-            cand = json.load(fh)
+        base = _load_strict(base_files[name])
+        cand = _load_strict(cpath)
         diffs = compare_payloads(base, cand, rtol, atol)
         if diffs:
             report.failures[name] = diffs
@@ -227,7 +249,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not os.path.isdir(args.baseline):
         print(f"regress: baseline directory {args.baseline!r} not found", file=sys.stderr)
         return 2
-    report = compare_dirs(args.baseline, args.candidate, rtol=args.rtol, atol=args.atol)
+    try:
+        report = compare_dirs(
+            args.baseline, args.candidate, rtol=args.rtol, atol=args.atol
+        )
+    except ValueError as exc:
+        print(f"regress: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     return 0 if report.ok else 1
 

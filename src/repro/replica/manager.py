@@ -177,8 +177,13 @@ class ReplicationManager:
 
     def _candidates(self, shard_key: int, st: Optional[ReplicaSet] = None):
         """Alive ASUs by placement rank, minus ``st``'s holders and targets.
-        Eager on purpose: ROADMAP 1(a) holds the ``placement.ranked`` switch."""
-        for d in self.placement.replicas(shard_key, self.n_asus):
+
+        Lazy: the placement ranks only as deep as the caller consumes, and
+        every caller wants the first one or two survivors.  The order is the
+        full ranking's (``ranked`` is the walk ``replicas`` slices), so a
+        pick is the same ASU either way at a fraction of the draws.
+        """
+        for d in self.placement.ranked(shard_key):
             if d in self._dead:
                 continue
             if st is not None and (d in st.copies or d in st.targets):

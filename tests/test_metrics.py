@@ -336,6 +336,36 @@ class TestRegressGate:
     def test_int_float_compare_numerically(self):
         assert list(compare_values(1, 1.0)) == []
 
+    def test_nan_is_always_a_diff(self):
+        nan = float("nan")
+        for base, cand in ((1.0, nan), (nan, 1.0), (nan, nan), (0, nan)):
+            diffs = list(compare_values({"a": base}, {"a": cand}, rtol=0.5))
+            assert [(d.path, d.note) for d in diffs] == [("$.a", "non-finite")]
+
+    def test_infinities_equal_only_to_themselves(self):
+        inf = float("inf")
+        assert list(compare_values(inf, inf)) == []
+        assert list(compare_values(-inf, -inf)) == []
+        for base, cand in ((inf, -inf), (inf, 5.0), (5.0, inf), (-inf, 0)):
+            assert [d.note for d in compare_values(base, cand, rtol=1.0)] == [
+                "non-finite"
+            ]
+
+    def test_nan_literal_in_a_file_is_a_malformed_file(self, tmp_path, capsys):
+        base = tmp_path / "baseline"
+        cand = tmp_path / "cand"
+        base.mkdir()
+        cand.mkdir()
+        self._write(base, "x", self.payload(makespan=1.25))
+        # json.dumps writes the non-standard NaN literal by default.
+        self._write(cand, "x", self.payload(makespan=float("nan")))
+        with pytest.raises(ValueError, match="BENCH_x.json"):
+            compare_dirs(str(base), str(cand))
+        argv = ["--baseline", str(base), "--candidate", str(cand), "--rtol", "0"]
+        assert regress_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "BENCH_x.json" in err and "NaN" in err
+
     def _write(self, d, name, payload):
         (d / f"BENCH_{name}.json").write_text(json.dumps(payload))
 

@@ -4,11 +4,15 @@ Covers the tentpole acceptance scenarios: promotion-based takeover (an ASU
 kill at any instant completes with zero fragment replay AND zero run
 re-emission when r >= 2, byte-identical to the uninterrupted reference),
 the r=1 re-emission fallback, write policies, media-loss repair, the
-checkpoint integration, and the typed UnrecoverableJobError dead ends.
+checkpoint integration, the typed UnrecoverableJobError dead ends, and the
+placement walk behind every target pick (its draw count, pinned exactly).
 """
+
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DSMConfig
 from repro.dsmsort import DsmSortJob
@@ -22,7 +26,14 @@ from repro.faults import (
 )
 from repro.recovery.checkpoint import RecoverableSort
 from repro.recovery.supervisor import JobSupervisor, RestartBudget
-from repro.replica import ReplicationConfig, ReplicationManager
+from repro.replica import (
+    ReplicaPlacement,
+    ReplicaSet,
+    ReplicationConfig,
+    ReplicationManager,
+)
+
+from .test_ledger_counters import CELLS
 
 N = 1 << 13
 HB = dict(heartbeat_interval=0.002, heartbeat_timeout=0.008)
@@ -309,3 +320,49 @@ class TestDeterminism:
         assert r1a.makespan == r1b.makespan
         assert r1a.n_promoted_runs == r1b.n_promoted_runs
         assert r1a.n_repaired_copies == r1b.n_repaired_copies
+
+
+class TestCandidateWalk:
+    """``_candidates`` ranks only as deep as its caller consumes."""
+
+    def test_draw_count_ratchet(self, monkeypatch):
+        # Exact ``_draw`` calls of the ledger's guarded@2^12/r2 pass 1 (the
+        # eager full-fleet ranking drew 3,570,518).  Regenerate only for a
+        # deliberate placement change.
+        calls = [0]
+        draw = ReplicaPlacement._draw
+
+        def counted(self, shard, k):
+            calls[0] += 1
+            return draw(self, shard, k)
+
+        monkeypatch.setattr(ReplicaPlacement, "_draw", counted)
+        CELLS["guarded@2^12/r2"]().run_pass1()
+        assert calls[0] == 133_273
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        shard=st.integers(0, (1 << 40) - 1),
+        dead=st.sets(st.integers(0, 15)),
+        copies=st.sets(st.integers(0, 15)),
+        targets=st.sets(st.integers(0, 15)),
+        with_set=st.booleans(),
+    )
+    def test_lazy_walk_equals_eager_filter(
+        self, n, shard, dead, copies, targets, with_set
+    ):
+        mgr = ReplicationManager(ReplicationConfig(r=2), n)
+        mgr._dead = {d for d in dead if d < n}
+        rs = None
+        if with_set:
+            rs = ReplicaSet((0, 0, 0), 0, 0, None, None, {d for d in targets if d < n})
+            rs.copies = {d for d in copies if d < n}
+        eager = [
+            d for d in mgr.placement.replicas(shard, mgr.n_asus)
+            if d not in mgr._dead
+            and (rs is None or (d not in rs.copies and d not in rs.targets))
+        ]
+        assert list(mgr._candidates(shard, rs)) == eager
+        for k in range(len(eager) + 2):
+            assert list(islice(mgr._candidates(shard, rs), k)) == eager[:k]
