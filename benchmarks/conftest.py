@@ -19,11 +19,15 @@ def bench_n(quick: int, full: int) -> int:
 def bench_workers() -> int:
     """Worker processes for multi-seed sweeps inside benchmarks.
 
-    Benchmarks time wall-clock, so they stay **serial by default** — one
-    process gives comparable numbers across machines.  Set
+    Benchmarks time wall-clock, so their seed sweeps stay **serial by
+    default** — one process gives comparable numbers across machines.  Set
     ``REPRO_BENCH_WORKERS`` to fan seed sweeps out via
     :func:`repro.bench.parallel.parallel_map` (results are merged in seed
     order, so every BENCH_*.json stays byte-identical at any worker count).
+    The exception is ``bench_fig9_speedup.py``: ``run_figure9`` fans its
+    distinct cells out across the usable CPUs itself, unless
+    ``REPRO_BENCH_WORKERS=1``; its BENCH_fig9_speedup.json is the same
+    either way.
     """
     if os.environ.get("REPRO_BENCH_WORKERS"):
         from repro.bench.parallel import resolve_workers

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from ..core.config import ConfigSolver, DSMConfig
 from ..dsmsort.runtime import DsmSortJob
 from ..emulator.params import SystemParams
+from .parallel import parallel_map
 from .report import ascii_plot, render_series_table
 
 __all__ = ["FIG9_ALPHAS", "FIG9_ASU_COUNTS", "fig9_params", "Figure9Result", "run_figure9"]
@@ -92,8 +93,10 @@ class Figure9Result:
         return out
 
 
-def _pass1_makespan(params: SystemParams, cfg: DSMConfig, active: bool, seed: int) -> float:
-    job = DsmSortJob(params, cfg, policy="static", workload="uniform",
+def _cell_makespan(task: tuple[int, float, DSMConfig, bool, int]) -> float:
+    """One cell's pass-1 makespan; a module-level function, so it pickles."""
+    n_asus, c, cfg, active, seed = task
+    job = DsmSortJob(fig9_params(n_asus, c=c), cfg, policy="static", workload="uniform",
                      active=active, seed=seed)
     return job.run_pass1().makespan
 
@@ -113,33 +116,35 @@ def run_figure9(
     if include_adaptive:
         series["adaptive"] = []
 
+    # Per ASU count: the passive baseline cell, then one active cell per
+    # series (the adaptive pick last).
+    grid: list[tuple[int, list[DSMConfig]]] = []
+    for D in asu_counts:
+        solver = ConfigSolver(fig9_params(D, c=c), gamma=gamma)
+        cfgs = [solver.config_for_alpha(n_records, a) for a in alphas]
+        if include_adaptive:
+            cfgs.append(solver.choose(n_records))
+            result.adaptive_alpha.append(cfgs[-1].alpha)
+        grid.append((D, [solver.config_for_alpha(n_records, BASELINE_ALPHA), *cfgs]))
+
     # A cell is a pure function of (params, cfg, active, seed), and the
     # adaptive configuration is by construction one the solver could also be
-    # handed — usually an α of the grid.  Each distinct cell is emulated once;
-    # the memo is local, so it dies with the call.
-    seen: dict[tuple[int, DSMConfig, bool], float] = {}
+    # handed — usually an α of the grid — so each distinct cell is emulated
+    # once.  The cells fan out across processes longest first (a cell costs
+    # its run count, n / β), so the slowest cell never starts last; results
+    # are keyed by cell, so completion order cannot reach a float.
+    cells = dict.fromkeys(
+        (D, cfg, i > 0) for D, cfgs in grid for i, cfg in enumerate(cfgs)
+    )
+    order = sorted(cells, key=lambda cell: cell[1].n_records // cell[1].beta, reverse=True)
+    tasks = [(D, c, cfg, active, seed) for D, cfg, active in order]
+    makespan = dict(zip(order, parallel_map(_cell_makespan, tasks)))
 
-    def makespan(params: SystemParams, cfg: DSMConfig, active: bool) -> float:
-        key = (params.n_asus, cfg, active)
-        if key not in seen:
-            seen[key] = _pass1_makespan(params, cfg, active, seed)
-        return seen[key]
-
-    for D in asu_counts:
-        params = fig9_params(D, c=c)
-        solver = ConfigSolver(params, gamma=gamma)
-        base_cfg = solver.config_for_alpha(n_records, BASELINE_ALPHA)
-        t_base = makespan(params, base_cfg, active=False)
+    for D, (base_cfg, *cfgs) in grid:
+        t_base = makespan[D, base_cfg, False]
         result.baseline_makespan.append(t_base)
-
-        for a in alphas:
-            cfg = solver.config_for_alpha(n_records, a)
-            series[str(a)].append(t_base / makespan(params, cfg, active=True))
-
-        if include_adaptive:
-            cfg = solver.choose(n_records)
-            result.adaptive_alpha.append(cfg.alpha)
-            series["adaptive"].append(t_base / makespan(params, cfg, active=True))
+        for name, cfg in zip([*map(str, alphas), "adaptive"], cfgs):
+            series[name].append(t_base / makespan[D, cfg, True])
 
     result.speedup = series
     return result

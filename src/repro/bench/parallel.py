@@ -1,6 +1,7 @@
 """Process-parallel seed sweeps with deterministic merge order.
 
-Multi-case soaks (``repro chaos`` and the :mod:`repro.bench.soak` sweeps) run
+Multi-case soaks (``repro chaos`` and the :mod:`repro.bench.soak` sweeps) and
+the distinct cells of Figure 9 (:func:`repro.bench.fig9.run_figure9`) run
 one independent emulation per case; :func:`parallel_map` fans those cases out
 across worker processes and returns the results **in input order**, so a
 report assembled from them is byte-identical to the sequential run no matter
@@ -12,10 +13,15 @@ Worker count resolution, in priority order:
 
 1. explicit ``workers=`` argument;
 2. ``REPRO_BENCH_WORKERS`` environment variable;
-3. ``os.cpu_count()``.
+3. the usable CPUs: ``len(os.sched_getaffinity(0))`` where the platform has
+   it, else ``os.cpu_count()`` — a process pinned to one CPU (``taskset -c
+   0``) gets one worker, however many CPUs the host has.
 
 A resolved count of 1 (or a single-item sweep) degrades to a plain in-process
-``map`` — single-core environments take the exact sequential path.
+``map`` — single-core environments take the exact sequential path.  The pool
+is opened and joined inside each call, so every worker is reaped before
+:func:`parallel_map` returns and its CPU time is counted in the caller's
+``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     env = os.environ.get("REPRO_BENCH_WORKERS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..bte.base import BTE, StreamHandle
 from ..functors.distribute import DistributeFunctor, sample_splitters
+from ..util.records import sort_records
 
 __all__ = ["distribution_sort", "DistSortStats"]
 
@@ -58,7 +59,7 @@ def distribution_sort(
 
     def emit_sorted(handle: StreamHandle) -> None:
         batch = bte.read_all(handle)
-        bte.append(out, np.sort(batch, order="key", kind="stable"))
+        bte.append(out, sort_records(batch))
         stats.n_leaf_buckets += 1
 
     def recurse(handle: StreamHandle, depth: int) -> None:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ..bte.base import BTE, StreamHandle
+from ..util.records import sort_records
 from .kmerge import kway_merge_streams
 
 __all__ = ["external_sort", "SortStats"]
@@ -53,7 +54,6 @@ def external_sort(
         raise ValueError("memory_records must be >= 1")
     if fan_in < 2:
         raise ValueError("fan_in must be >= 2")
-    import numpy as np
 
     n_total = bte.length(input_handle)
 
@@ -63,7 +63,7 @@ def external_sort(
     while pos < n_total:
         chunk = bte.read_at(input_handle, pos, memory_records)
         pos += chunk.shape[0]
-        run = np.sort(chunk, order="key", kind="stable")
+        run = sort_records(chunk)
         name = f"{tmp_prefix}.run0.{len(run_names)}"
         bte.write_all(name, run)
         run_names.append(name)

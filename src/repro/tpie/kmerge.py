@@ -5,7 +5,8 @@ external merge sort (§2.1).  The merge is vectorised: each round establishes
 a *safe horizon* — the smallest "largest buffered key" across runs — and
 emits every buffered record at or below it in one sorted batch.  Every round
 fully consumes at least one run buffer, so the pass is O(n log k) compares
-with NumPy-speed constants.
+with NumPy-speed constants.  The merge is stable: records with equal keys
+leave in run order, and within a run in their stored order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..bte.base import BTE, StreamHandle
+from ..util.records import sort_records
 
 __all__ = ["kway_merge_streams", "KMergeCursor"]
 
@@ -54,11 +56,14 @@ class KMergeCursor:
         assert self.buf is not None
         return self.buf["key"][-1]
 
-    def take_upto(self, horizon) -> np.ndarray:
-        """Remove and return buffered records with key <= horizon."""
+    def take_upto(self, horizon, side: str = "right") -> np.ndarray:
+        """Remove and return buffered records with key <= horizon.
+
+        ``side="left"`` takes the keys strictly below ``horizon`` instead.
+        """
         assert self.buf is not None
         keys = self.buf["key"][self.pos :]
-        n = int(np.searchsorted(keys, horizon, side="right"))
+        n = int(np.searchsorted(keys, horizon, side=side))
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         self._refill()
@@ -101,14 +106,23 @@ def kway_merge_streams(
                     bte.append(out, out_batch)
                     pending, pending_n = [], 0
             break
-        horizon = min(c.max_buffered_key() for c in cursors)
-        pieces = [c.take_upto(horizon) for c in cursors]
+        tops = [c.max_buffered_key() for c in cursors]
+        horizon = min(tops)
+        # Equal keys leave in run order.  The first run whose buffer ends at
+        # the horizon may hold more of that key past its buffer, so the runs
+        # after it keep their horizon keys for a later round.
+        pieces = []
+        side = "right"
+        for c, top in zip(cursors, tops):
+            pieces.append(c.take_upto(horizon, side))
+            if top == horizon:
+                side = "left"
         pieces = [p for p in pieces if p.shape[0]]
         if pieces:
             merged = (
                 pieces[0]
                 if len(pieces) == 1
-                else np.sort(np.concatenate(pieces), order="key", kind="stable")
+                else sort_records(np.concatenate(pieces))
             )
             pending.append(merged)
             pending_n += merged.shape[0]

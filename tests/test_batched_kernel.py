@@ -330,6 +330,18 @@ class TestParallelSweeps:
         monkeypatch.delenv("REPRO_BENCH_WORKERS")
         assert resolve_workers() >= 1
 
+    def test_resolve_workers_counts_usable_cpus(self, monkeypatch):
+        # Pinned to one CPU of a many-CPU host (``taskset -c 0``): one worker.
+        from repro.bench import parallel
+
+        monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parallel.resolve_workers() == 1
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "2")
+        assert parallel.resolve_workers() == 2  # the env var still wins
+        assert parallel.resolve_workers(3) == 3  # and the argument over both
+
     def test_worker_exception_propagates(self):
         from repro.bench.parallel import parallel_map
 

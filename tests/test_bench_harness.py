@@ -170,7 +170,10 @@ class TestFigure9DistinctCells:
         monkeypatch.setattr(fig9, "DsmSortJob", counting)
         return jobs
 
-    def test_one_job_per_distinct_cell_and_none_kept_across_calls(self, built):
+    def test_one_job_per_distinct_cell_and_none_kept_across_calls(self, built, monkeypatch):
+        # In process: the patched ``DsmSortJob`` cannot count jobs a forked
+        # worker builds.
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")
         cells = _fig9_cells(self.N, self.COUNTS)
         assert len(set(cells)) == 6 + 7 < len(cells) == 14
         first = run_figure9(n_records=self.N, asu_counts=self.COUNTS)
@@ -179,7 +182,9 @@ class TestFigure9DistinctCells:
         assert len(built) == 2 * len(set(cells))  # the memo died with the call
         assert second.speedup == first.speedup
 
-    def test_equals_the_unmemoised_seven_cell_loop_float_for_float(self):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_equals_the_unmemoised_seven_cell_loop_float_for_float(self, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", workers)
         got = run_figure9(n_records=self.N, asu_counts=self.COUNTS, seed=7)
         makespans = [
             DsmSortJob(fig9_params(D), cfg, policy="static", workload="uniform",
@@ -191,6 +196,21 @@ class TestFigure9DistinctCells:
             t_base, *ts = makespans[7 * i : 7 * i + 7]
             assert got.baseline_makespan[i] == t_base
             assert [got.speedup[k][i] for k in names] == [t_base / t for t in ts]
+
+    def test_dispatches_each_distinct_cell_once_longest_first(self, monkeypatch):
+        handed = []
+
+        def recording(fn, tasks):
+            handed.extend(tasks)
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(fig9, "parallel_map", recording)
+        run_figure9(n_records=self.N, asu_counts=self.COUNTS, seed=7)
+        cells = [(D, cfg, active) for D, _c, cfg, active, _seed in handed]
+        assert len(cells) == len(set(cells))
+        assert set(cells) == set(_fig9_cells(self.N, self.COUNTS))
+        runs = [self.N // cfg.beta for _D, cfg, _active in cells]
+        assert runs == sorted(runs, reverse=True) and runs[0] > runs[-1]
 
     def test_default_grid_is_36_of_42_cells_at_the_ledger_size(self):
         # Solver only, no emulation: at n = 2^16 every adaptive pick is an α

@@ -26,6 +26,18 @@ def batch_of(keys):
     return make_records(np.asarray(keys, dtype=np.uint32))
 
 
+def labelled(keys, labels):
+    """Records told apart by payload byte 0 = label, whatever their keys."""
+    batch = batch_of(keys)
+    batch["payload"] = [bytes([v]).ljust(batch.dtype["payload"].itemsize, b"\0") for v in labels]
+    return batch
+
+
+def stable_by_key(batch):
+    """The tie order every TPIE sorter keeps: by key, ties in input order."""
+    return batch[np.argsort(batch["key"], kind="stable")]
+
+
 class TestKWayMerge:
     def _merge(self, runs, **kw):
         bte = MemoryBTE()
@@ -62,6 +74,24 @@ class TestKWayMerge:
         bte = MemoryBTE()
         with pytest.raises(ValueError):
             kway_merge_streams(bte, [], "out", buffer_records=0)
+
+    @pytest.mark.parametrize(
+        "runs, buf",
+        [
+            # ties inside one round: payload bytes must not order them
+            ([([7, 7, 7], [5, 4, 3]), ([7, 7, 7], [2, 1, 0])], 1024),
+            # run 0 holds more of the horizon key past its first buffer
+            ([([7, 7, 7, 7], [9, 8, 7, 6]), ([7, 9], [1, 0])], 2),
+        ],
+    )
+    def test_equal_keys_leave_in_run_order(self, runs, buf):
+        bte = MemoryBTE()
+        for i, (keys, labels) in enumerate(runs):
+            bte.write_all(f"run{i}", labelled(keys, labels))
+        handles = [bte.open(f"run{i}") for i in range(len(runs))]
+        out = bte.read_all(kway_merge_streams(bte, handles, "out", buffer_records=buf))
+        merged = np.concatenate([labelled(*run) for run in runs])
+        assert out.tobytes() == stable_by_key(merged).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -105,6 +135,20 @@ class TestExternalSort:
         out, stats = external_sort(bte, bte.open("in"), "out", memory_records=100)
         assert stats.n_merge_passes == 0
         assert list(bte.read_all(out)["key"]) == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "keys, kw",
+        [
+            ([7] * 8, {}),  # one run, all keys tied
+            ([7, 3] * 12, {"memory_records": 4, "fan_in": 2, "buffer_records": 2}),
+        ],
+    )
+    def test_equal_keys_keep_input_order(self, keys, kw):
+        bte = MemoryBTE()
+        data = labelled(keys, range(len(keys) - 1, -1, -1))
+        bte.write_all("in", data)
+        out, _ = external_sort(bte, bte.open("in"), "out", **kw)
+        assert bte.read_all(out).tobytes() == stable_by_key(data).tobytes()
 
     def test_empty_input(self):
         bte = MemoryBTE()
@@ -316,6 +360,18 @@ class TestDistributionSort:
     def test_all_equal_keys_terminate(self):
         _bte, stats = self._sort([7] * 500, memory_records=50, fan_out=4)
         assert stats.n_leaf_buckets >= 1
+
+    @pytest.mark.parametrize("memory_records", [100, 4])
+    def test_equal_keys_keep_input_order(self, memory_records):
+        from repro.tpie import distribution_sort
+
+        bte = MemoryBTE()
+        data = labelled([7, 3] * 12, range(23, -1, -1))
+        bte.write_all("in", data)
+        out, _ = distribution_sort(
+            bte, bte.open("in"), "out", memory_records=memory_records, fan_out=2
+        )
+        assert bte.read_all(out).tobytes() == stable_by_key(data).tobytes()
 
     def test_two_distinct_keys_terminate(self):
         # Sampled splitter may equal the max key: progress guard must fire.
