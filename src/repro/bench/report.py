@@ -8,9 +8,10 @@ paper's figures directly.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Mapping, Optional, Sequence
+
+from ..util.canonical import canonical_json
 
 #: version of the BENCH_*.json payload layout; bumped on breaking changes and
 #: validated by :mod:`repro.bench.regress` before any value comparison.
@@ -25,13 +26,6 @@ __all__ = [
     "ascii_plot",
     "write_bench_json",
 ]
-
-
-def canonical_json(obj) -> str:
-    """The one byte-stable JSON spelling every committed report uses: sorted
-    keys, fixed separators.  NaN/Infinity are refused — they are not JSON, and
-    a NaN never equals itself, so one in a golden-diffed report is a bug."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_canonical_json(path: str, obj) -> None:

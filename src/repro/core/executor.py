@@ -411,30 +411,17 @@ class PipelineJob:
                 procs.append(plat.spawn(instance(name, k), name=f"{name}#{k}"))
         procs.append(plat.spawn(sink(), name="sink"))
         if spec is not None and watchable:
-            # The watch ticks forever; stop the clock at the job's own
-            # completion instant so the tail tick cannot inflate makespan.
+            # The watch ticks forever; the run stops the clock at the job's
+            # own completion instant, so the tail tick cannot inflate makespan.
             plat.spawn(straggler_watch(), name="straggler-watch")
-            done = plat.sim.all_of(procs)
-
-            def _on_done(ev):
-                if not ev.ok:
-                    raise ev.value
-                plat.sim.stop()
-
-            done.callbacks.append(_on_done)
-            plat.sim.run()
-            stuck = [p for p in procs if not p.triggered]
-            if stuck:
-                raise RuntimeError(f"pipeline deadlocked; {len(stuck)} processes stuck")
-        else:
-            plat.run(wait_for=procs)
+        report = plat.run(wait_for=procs)
 
         return PipelineResult(
-            makespan=plat.sim.now,
+            makespan=report.makespan,
             output=concat_records(collected, params.schema),
-            host_util=[h.cpu.utilization(plat.sim.now) for h in plat.hosts],
-            asu_cpu_util=[a.cpu.utilization(plat.sim.now) for a in plat.asus],
-            net_bytes=plat.network.bytes_total,
+            host_util=report.host_util,
+            asu_cpu_util=report.asu_cpu_util,
+            net_bytes=report.net_bytes,
             records_per_instance=records_per_instance,
             straggler_signals=straggler_signals,
         )

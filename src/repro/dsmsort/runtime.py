@@ -443,24 +443,9 @@ class DsmSortJob:
             plat.spawn(self._asu_consumer(plat, d, rs), name=f"cons{d}")
             for d in range(D)
         ]
-        all_procs = [*producers, *hosts, *consumers]
-        # Stop the clock the moment the job's own processes finish (keeps
-        # makespans exact even if auxiliary processes are still queued).
-        done = plat.sim.all_of(all_procs)
-
-        def _on_done(ev):
-            if not ev.ok:
-                raise ev.value  # a process crashed: surface its exception
-            plat.sim.stop()
-
-        done.callbacks.append(_on_done)
-        plat.sim.run()
-        pendings = [p for p in all_procs if not p.triggered]
-        if pendings:
-            raise RuntimeError(f"pass 1 deadlocked; {len(pendings)} processes stuck")
-        makespan = plat.sim.now
-        self._finish_pass1(makespan, completed=True)
-        return self._pass1_result(plat, makespan, util_dt)
+        report = plat.run(wait_for=[*producers, *hosts, *consumers])
+        self._finish_pass1(report.makespan, completed=True)
+        return self._pass1_result(plat, report, util_dt)
 
     def _finish_pass1(self, makespan: float, completed: bool) -> None:
         if completed:
@@ -473,20 +458,18 @@ class DsmSortJob:
                 self.tracer.span(0.0, makespan, "job", "pass1",
                                  cat="phase", sid="pass1")
             self._journal.log_pass1_done(makespan)
-        if self.metrics is not None and self.metrics.collector is not None:
-            self.metrics.collector.finalize(makespan)
 
-    def _pass1_result(self, plat, makespan: float, util_dt: float, **ft) -> Pass1Result:
+    def _pass1_result(self, plat, report, util_dt: float, **ft) -> Pass1Result:
         return Pass1Result(
-            makespan=makespan,
-            host_util=[h.cpu.utilization(makespan) for h in plat.hosts],
-            asu_cpu_util=[a.cpu.utilization(makespan) for a in plat.asus],
-            asu_disk_util=[a.disk.utilization(makespan) for a in plat.asus],
+            makespan=report.makespan,
+            host_util=report.host_util,
+            asu_cpu_util=report.asu_cpu_util,
+            asu_disk_util=report.asu_disk_util,
             n_runs=sum(len(r) for r in self.runs_on_asu),
-            net_bytes=plat.network.bytes_total,
+            net_bytes=report.net_bytes,
             imbalance=self.load_manager.imbalance(),
             host_util_series=[
-                h.cpu.busy.utilization_series(makespan, dt=util_dt)
+                h.cpu.busy.utilization_series(report.makespan, dt=util_dt)
                 for h in plat.hosts
             ],
             **ft,
@@ -819,11 +802,10 @@ class DsmSortJob:
         completed = coord.triggered
         if not completed and deadline is None and not self._coord_crashed:
             raise RuntimeError("fault-tolerant pass 1 never completed (deadlock?)")
-        makespan = plat.sim.now
-        self._finish_pass1(makespan, completed)
+        self._finish_pass1(plat.sim.now, completed)
         self.fault_report = FaultReport.from_run(injector, detector, self.recovered_at)
         return self._pass1_result(
-            plat, makespan, util_dt,
+            plat, plat.report(), util_dt,
             fault_report=self.fault_report,
             n_replayed_frags=self._n_replayed_frags,
             n_takeover_blocks=self._n_takeover_blocks,
@@ -1490,21 +1472,8 @@ class DsmSortJob:
             procs.append(plat.spawn(asu_reader(d, items, buf), name=f"r{d}"))
             procs.append(plat.spawn(asu_merge(d, buf, len(items)), name=f"m{d}"))
         procs += [plat.spawn(host_merge(h), name=f"hm{h}") for h in range(H)]
-        if deadline is None:
-            plat.run(wait_for=procs)
-            completed = True
-        else:
-            done = plat.sim.all_of(procs)
-
-            def _on_done(ev):
-                if not ev.ok:
-                    raise ev.value
-                plat.sim.stop()
-
-            done.callbacks.append(_on_done)
-            plat.sim.run(until=deadline)
-            completed = all(p.triggered for p in procs)
-        makespan = plat.sim.now
+        report = plat.run(wait_for=procs, until=deadline)
+        makespan = report.makespan
         if self.tracer is not None:
             self.tracer.span(0.0, makespan, "job", "pass2",
                              cat="phase", sid="pass2", parent="pass1")
@@ -1514,10 +1483,10 @@ class DsmSortJob:
                              cat="phase")
         return Pass2Result(
             makespan=makespan,
-            host_util=[x.cpu.utilization(makespan) for x in plat.hosts],
-            asu_cpu_util=[a.cpu.utilization(makespan) for a in plat.asus],
+            host_util=report.host_util,
+            asu_cpu_util=report.asu_cpu_util,
             n_partial_runs=n_partial,
-            completed=completed,
+            completed=all(p.triggered for p in procs),
             n_restored_buckets=len(merged_restored),
         )
 

@@ -5,11 +5,14 @@ hosts and ASUs; *how* it moves — straight onto the paper's lossless network
 (§5), or through seq/ack/retransmit endpoints that mask an unreliable one —
 is the job's transport: :class:`DirectTransport` here, or
 :class:`repro.resilience.transport.ReliableTransport`.  The engine builds one
-from ``transport=`` and never asks again which it holds.  ``(gen)`` entry
+from ``transport=`` and never asks again which it holds; the filter-scan app
+(:mod:`repro.apps.filterscan`) runs on the same seam.  ``(gen)`` entry
 points run inside the calling process, the rest are callback-safe:
 
-- ``recv(node)`` (gen) the next application message; ``post(src, dst,
-  payload, nbytes, tag)`` a non-blocking send;
+- ``recv(node)`` (gen) the next application message; ``send(node, dst,
+  payload, nbytes, tag)`` (gen) a send from ``node``'s process, which pays
+  the per-byte copy on ``node``'s CPU (and, reliably, waits for credit);
+  ``post(src, dst, payload, nbytes, tag)`` a non-blocking send;
 - ``wait_window(src, dst, load_manager, instance, n_records)`` (gen): flow
   control before a fragment batch; a transport that can stall reports the
   stall to the load manager itself, one that cannot reports nothing;
@@ -25,10 +28,12 @@ points run inside the calling process, the rest are callback-safe:
   ``fence(nid, tags)``: an expelled-but-alive node stops resending ``tags``;
 - ``sender_for(src, eligible)`` -> the node to replay ``src``'s retained
   data from (``eligible(node_id)`` is the engine's membership test);
-- ``counters()`` -> :class:`~repro.dsmsort.runtime.Pass1Result` fields.
+- ``counters()`` -> ``channel_stats`` and ``n_breaker_trips``, fields of
+  :class:`~repro.dsmsort.runtime.Pass1Result` and of the filter-scan result.
 
 Both are built with one ``undeliverable(dst, tag, payload)`` callback: the
-single place the engine hears that a message it posted will never arrive.
+single place the engine hears that a message it posted will never arrive
+(the filter-scan, which has no recovery, leaves it at the default no-op).
 
 See docs/RESILIENCE.md, "The transport seam".
 """
@@ -57,12 +62,15 @@ class DirectTransport:
     """Posts straight onto the lossless network: a message is lost only by
     reaching a fail-stopped node, and nothing is ever in doubt."""
 
-    def __init__(self, plat, undeliverable):
+    def __init__(self, plat, undeliverable=lambda dst, tag, payload: None):
         self._plat = plat
         plat.network.dead_letter_hook = lambda m: undeliverable(m.dst, m.tag, m.payload)
 
     def recv(self, node):
         return node.recv()
+
+    def send(self, node, dst, payload, nbytes, tag):
+        return node.send_async(dst, payload, nbytes, tag=tag)
 
     def post(self, src, dst, payload, nbytes, tag) -> None:
         self._plat.network.post(src, dst, payload, nbytes, tag=tag)

@@ -9,9 +9,10 @@ emits.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..sim import Process, Simulator
+from ..util.canonical import canonical_json
 from .net import Network
 from .node import Asu, Host, Node
 from .params import SystemParams
@@ -31,7 +32,6 @@ class RunReport:
         asu_disk_util: list[float],
         net_bytes: int,
         n_events: int,
-        result: Any = None,
     ):
         self.params = params
         self.makespan = makespan
@@ -40,7 +40,6 @@ class RunReport:
         self.asu_disk_util = asu_disk_util
         self.net_bytes = net_bytes
         self.n_events = n_events
-        self.result = result
 
     #: bumped on breaking changes to the report layout (validated by
     #: ``repro.bench.regress`` when comparing against committed baselines)
@@ -62,9 +61,7 @@ class RunReport:
         """Canonical JSON form (stable key order and separators, so the
         string is byte-identical for identical runs) — the payload the bench
         harness writes as ``BENCH_*.json``."""
-        import json
-
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def __repr__(self) -> str:
         hu = ",".join(f"{u:.2f}" for u in self.host_util)
@@ -180,23 +177,37 @@ class ActivePlatform:
     ) -> RunReport:
         """Run the simulation and return the instrumentation report.
 
-        If ``wait_for`` is given, the makespan is the completion time of the
-        last of those processes; otherwise it is the time the event queue
-        drained.
+        With ``wait_for``, the clock stops the moment the last of those
+        processes finishes — auxiliary processes (a watchdog that ticks
+        forever, acks still in flight) cannot stretch the makespan — and a
+        process that fails re-raises its exception here.  If they have not
+        all finished by ``until``, the report is a partial one at ``until``;
+        with no ``until`` that is a deadlock, and raises.  Without
+        ``wait_for`` the run ends when the event queue drains (or at
+        ``until``).
         """
-        self.sim.run(until=until)
-        makespan = self.sim.now
         if wait_for is not None:
+            wait_for = list(wait_for)
+            self.sim.all_of(wait_for).callbacks.append(self._stop_when_done)
+        self.sim.run(until=until)
+        if wait_for is not None and until is None:
             pending = [p for p in wait_for if not p.triggered]
             if pending:
                 raise RuntimeError(
                     f"{len(pending)} awaited process(es) never finished "
                     f"(deadlock or missing input): {pending[:3]}"
                 )
-        return self.report(makespan)
+        return self.report()
 
-    def report(self, makespan: Optional[float] = None, result: Any = None) -> RunReport:
-        t = self.sim.now if makespan is None else makespan
+    def _stop_when_done(self, done) -> None:
+        if not done.ok:
+            raise done.value  # a process crashed: surface its exception
+        self.sim.stop()
+
+    def report(self) -> RunReport:
+        """The report at the current instant; finalizes the metrics collector
+        (one final scrape), so take it once per run."""
+        t = self.sim.now
         if self.metrics is not None and self.metrics.collector is not None:
             self.metrics.collector.finalize(t)
         return RunReport(
@@ -207,15 +218,4 @@ class ActivePlatform:
             asu_disk_util=[a.disk.utilization(t) for a in self.asus],
             net_bytes=self.network.bytes_total,
             n_events=self.sim.n_events_processed,
-            result=result,
         )
-
-    # -- convenience -----------------------------------------------------------
-    def run_to_completion(self, main: Callable[["ActivePlatform"], Any]) -> RunReport:
-        """Spawn ``main(self)`` (a generator function) and run until it finishes."""
-        p = self.spawn(main(self), name="main")
-        self.sim.run()
-        if not p.triggered:
-            raise RuntimeError("main process never finished (deadlock?)")
-        rep = self.report(result=p.value)
-        return rep

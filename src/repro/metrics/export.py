@@ -13,9 +13,10 @@ cumulative ``le`` upper bounds).
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Optional
+
+from ..util.canonical import canonical_json
 
 __all__ = ["SCHEMA_VERSION", "metrics_dict", "metrics_json", "prometheus_text"]
 
@@ -65,12 +66,7 @@ def metrics_dict(registry, collector=None) -> dict:
 
 def metrics_json(registry, collector=None) -> str:
     """Canonical (byte-stable) JSON export."""
-    return json.dumps(
-        metrics_dict(registry, collector),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return canonical_json(metrics_dict(registry, collector))
 
 
 def _prom_name(inst) -> tuple[str, str]:

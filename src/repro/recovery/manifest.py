@@ -43,6 +43,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..util.canonical import canonical_json
+
 __all__ = ["RunManifest", "RestoredState", "CheckpointError", "digest_records"]
 
 #: the fields every journal entry of each ``op`` carries, with their JSON
@@ -173,7 +175,7 @@ class RunManifest:
         return None
 
     def _append(self, entry: dict) -> None:
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        line = canonical_json(entry)
         self.entries.append(entry)
         nbytes = len(line) + 1
         self.bytes_logged += nbytes
@@ -392,15 +394,12 @@ class RunManifest:
                 "dtype": [[name, spec] for name, spec in arr.dtype.descr],
                 "data": base64.b64encode(arr.tobytes()).decode("ascii"),
             }
-        return json.dumps(
-            {
-                "format": "repro.recovery.manifest/1",
-                "next_rid": self._next_rid,
-                "entries": self.entries,
-                "payloads": payloads,
-            },
-            sort_keys=True, separators=(",", ":"),
-        )
+        return canonical_json({
+            "format": "repro.recovery.manifest/1",
+            "next_rid": self._next_rid,
+            "entries": self.entries,
+            "payloads": payloads,
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -455,7 +454,7 @@ class RunManifest:
                 f"malformed manifest: {type(exc).__name__}: {exc}"
             ) from exc
         m.bytes_logged = sum(
-            len(json.dumps(e, sort_keys=True, separators=(",", ":"))) + 1
+            len(canonical_json(e)) + 1
             for e in m.entries
         )
         return m

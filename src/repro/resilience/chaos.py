@@ -10,9 +10,10 @@ transport:
 * **DSM-Sort** run formation (crash recovery + reliable channel combined):
   the run must complete, and the final two-pass output must be a *sorted
   permutation* of the input — exact record count, zero duplicates, zero loss;
-* **filter-scan** (:class:`ResilientFilterScan`): the filtered records
-  reaching the host must be the exact multiset a direct evaluation produces,
-  with breaker-open links degrading gracefully to host-side filtering.
+* **filter-scan** (:class:`~repro.apps.filterscan.FilterScanJob` on the
+  reliable mesh): the filtered records reaching the host must be the exact
+  multiset a direct evaluation produces, with breaker-open links degrading
+  gracefully to host-side filtering.
 
 Each case also checks **bounded retry amplification** (wire bytes over
 payload bytes) so the protocol cannot pass by brute-force flooding.  A
@@ -33,17 +34,16 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ..apps.filterscan import FilterScanJob
 from ..bench.parallel import parallel_map
 from ..bench.report import SCHEMA_VERSION, canonical_json, render_table, write_canonical_json
 from ..core.config import DSMConfig
 from ..dsmsort.runtime import DsmSortJob
 from ..emulator.params import SystemParams
-from ..emulator.platform import ActivePlatform
 from ..faults.injector import (
-    FaultPlan, Injector, RandomFaultModel, crash_asu, crash_host, degrade_asu,
+    FaultPlan, RandomFaultModel, crash_asu, crash_host, degrade_asu,
     drop_msg, partition,
 )
-from ..functors.basic import FilterFunctor
 from ..recovery.checkpoint import RecoverableSort
 from ..recovery.manifest import CheckpointError
 from ..recovery.speculate import SpeculationPolicy
@@ -53,18 +53,14 @@ from ..sched import (
     JobState, OpenLoopWorkload, Scheduler, ServiceOracle, default_mix,
     default_tenants, estimate_capacity, serve_params, summarize_outcome,
 )
-from ..util.distributions import make_workload
 from ..util.records import concat_records, sort_records
-from ..util.rng import RngRegistry, derive_seed
+from ..util.rng import derive_seed
 from .channel import RetryPolicy
-from .io import read_resilient
-from .transport import ReliableTransport
 
 __all__ = [
-    "ChaosApp", "ChaosReport", "ResilientFilterScan", "chaos_cell",
-    "chaos_params", "cut_plan", "dsmsort_t0", "fence_counters",
-    "list_chaos_apps", "partition_scenario", "reliable_job", "run_chaos",
-    "sort_verified",
+    "ChaosApp", "ChaosReport", "chaos_cell", "chaos_params", "cut_plan",
+    "dsmsort_t0", "fence_counters", "list_chaos_apps", "partition_scenario",
+    "reliable_job", "run_chaos", "sort_verified",
 ]
 
 
@@ -122,138 +118,6 @@ def _amplification(channel_stats: Optional[dict]) -> float:
     if payload == 0:
         return 1.0
     return (payload + cs.get("retrans_bytes", 0)) / payload
-
-
-# --------------------------------------------------------------------- apps
-class ResilientFilterScan:
-    """Active filter-scan over the reliable transport, with degradation.
-
-    Per block, the producer consults the link's circuit breaker: healthy →
-    filter at the ASU and ship only survivors (the active-storage win);
-    breaker open → ship the raw block and let the host filter it (graceful
-    degradation: correctness preserved, interconnect savings sacrificed
-    while the link is quarantined).  Reads go through
-    :func:`~repro.resilience.io.read_resilient`, ships through
-    :meth:`~repro.resilience.channel.ReliableEndpoint.send`.
-    """
-
-    def __init__(
-        self,
-        params: SystemParams,
-        n_records: int,
-        seed: int = 0,
-        policy: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-    ):
-        self.params = params
-        self.n_records = int(n_records)
-        self.functor = FilterFunctor(lambda b: b["key"] % 2 == 0, compares=1.0)
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.faults = faults
-        self.seed = int(seed)
-        rngs = RngRegistry(seed)
-        per_asu = self.n_records // params.n_asus
-        self.asu_data = [
-            make_workload(rngs.get(f"w.{d}"), per_asu, "uniform", params.schema)
-            for d in range(params.n_asus)
-        ]
-
-    def expected_keys(self) -> np.ndarray:
-        kept = [self.functor.apply(b)[0] for b in self.asu_data]
-        return np.sort(concat_records(kept, self.params.schema)["key"])
-
-    def run(self, deadline: Optional[float] = None) -> dict:
-        plat = ActivePlatform(self.params)
-        net = ReliableTransport(plat, self.policy, self.seed)
-        if self.faults is not None:
-            Injector(plat, self.faults).arm()
-        host = plat.hosts[0]
-        D = self.params.n_asus
-        blk = self.params.block_records
-        rs = self.params.schema.record_size
-        collected: list[np.ndarray] = []
-        n_degraded = [0]
-
-        def producer(d):
-            asu = plat.asus[d]
-            ep = net.endpoints[asu.node_id]
-            data = self.asu_data[d]
-            blocks = [data[s : s + blk] for s in range(0, data.shape[0], blk)]
-            for block in blocks:
-                yield from read_resilient(plat.sim, asu.disk, block.shape[0] * rs)
-                staging = block.shape[0] * rs * self.params.cycles_per_io_byte
-                if net.healthy(asu.node_id, host.node_id):
-                    kept = yield from asu.compute(
-                        cycles=staging
-                        + self.functor.cost_cycles(block.shape[0], self.params),
-                        fn=lambda b: self.functor.apply(b)[0],
-                        args=(block,),
-                    )
-                    if kept.shape[0]:
-                        yield from ep.send(
-                            host.node_id, ("data", kept), kept.shape[0] * rs,
-                            tag="data",
-                        )
-                else:
-                    # Breaker open: this link is flapping.  Ship raw and let
-                    # the host filter — degraded but correct.
-                    n_degraded[0] += 1
-                    if staging:
-                        yield from asu.cpu.execute(cycles=staging)
-                    yield from ep.send(
-                        host.node_id, ("raw", block), block.shape[0] * rs,
-                        tag="raw",
-                    )
-            yield from ep.send(host.node_id, ("eof", None), 16, tag="eof")
-
-        def sink():
-            n_eof = 0
-            while n_eof < D:
-                msg = yield from net.recv(host)
-                kind, payload = msg.payload
-                if kind == "eof":
-                    n_eof += 1
-                elif kind == "raw":
-                    kept = yield from host.compute(
-                        cycles=self.functor.cost_cycles(
-                            payload.shape[0], self.params
-                        ),
-                        fn=lambda b: self.functor.apply(b)[0],
-                        args=(payload,),
-                    )
-                    if kept.shape[0]:
-                        collected.append(kept)
-                else:
-                    collected.append(payload)
-
-        procs = [
-            plat.spawn(producer(d), name=f"scan{d}", node=plat.asus[d])
-            for d in range(D)
-        ]
-        procs.append(plat.spawn(sink(), name="sink", node=host))
-        done = plat.sim.all_of(procs)
-
-        def _on_done(ev):
-            if not ev.ok:
-                raise ev.value
-            plat.sim.stop()
-
-        done.callbacks.append(_on_done)
-        plat.sim.run(until=deadline)
-        completed = all(p.triggered for p in procs)
-        out = (
-            concat_records(collected, self.params.schema)
-            if collected
-            else np.empty(0, dtype=self.params.schema.dtype)
-        )
-        return {
-            "completed": completed,
-            "makespan": plat.sim.now,
-            "keys": np.sort(out["key"]),
-            "net_bytes": plat.network.bytes_total,
-            "n_degraded_blocks": n_degraded[0],
-            **net.counters(),
-        }
 
 
 # ---------------------------------------------------- shared scenario pieces
@@ -381,6 +245,14 @@ def _chaos_dsmsort(seed: int, n_records: int, t0: float, amp_bound: float) -> di
     )
 
 
+def _filterscan_job(n_records: int, policy: RetryPolicy, faults=None) -> FilterScanJob:
+    """The chaos filter-scan: even keys, on the reliable mesh."""
+    return FilterScanJob(
+        chaos_params(), n_records, predicate=lambda b: b["key"] % 2 == 0,
+        retry_policy=policy, faults=faults,
+    )
+
+
 def _chaos_filterscan(seed: int, n_records: int, t0: float, amp_bound: float) -> dict:
     """Active filter-scan on the reliable channel, degrading via breakers."""
     # no crashes: the scan has no replica recovery, so reliability must come
@@ -388,23 +260,21 @@ def _chaos_filterscan(seed: int, n_records: int, t0: float, amp_bound: float) ->
     plan = _fault_plan(
         seed, t0, mtt_degrade=3.0 * t0, degrade_duration=t0 / 4,
     )
-    app = ResilientFilterScan(
-        chaos_params(), n_records, seed=0, policy=_policy_for(t0), faults=plan
-    )
-    res = app.run(deadline=12.0 * t0)
+    job = _filterscan_job(n_records, _policy_for(t0), faults=plan)
+    res, out = job.run(deadline=12.0 * t0)
     invariants = {
-        "completed": bool(res["completed"]),
-        "exact_multiset": bool(
-            res["completed"] and np.array_equal(res["keys"], app.expected_keys())
-        ),
+        "completed": bool(res.completed),
+        "exact_multiset": bool(res.completed and np.array_equal(
+            np.sort(out["key"]), np.sort(job.expected_output()["key"])
+        )),
         "amplification_bounded": bool(
-            _amplification(res["channel_stats"]) <= amp_bound
+            _amplification(res.channel_stats) <= amp_bound
         ),
     }
     return _case_record(
         "filterscan", seed, len(plan), sorted(plan.kinds()),
-        res["makespan"] / t0, invariants, res["channel_stats"],
-        res["n_breaker_trips"], n_degraded_blocks=res["n_degraded_blocks"],
+        res.makespan / t0, invariants, res.channel_stats,
+        res.n_breaker_trips, n_degraded_blocks=res.n_degraded_blocks,
     )
 
 
@@ -780,12 +650,8 @@ def dsmsort_t0(n_records: int) -> float:
 
 def _filterscan_t0(n_records: int) -> float:
     """Fault-free reliable-transport baseline makespan for filter-scan."""
-    params = chaos_params()
-    provisional = ResilientFilterScan(params, n_records, seed=0).run()["makespan"]
-    app = ResilientFilterScan(
-        params, n_records, seed=0, policy=_policy_for(provisional)
-    )
-    return app.run()["makespan"]
+    provisional = _filterscan_job(n_records, RetryPolicy()).run()[0].makespan
+    return _filterscan_job(n_records, _policy_for(provisional)).run()[0].makespan
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,9 @@ class ReliableTransport:
         # injections) untouched, so both transports see the same messages.
         return self.endpoints[node.node_id].recv()
 
+    def send(self, node, dst, payload, nbytes, tag):
+        return self.endpoints[node.node_id].send(dst, payload, nbytes, tag=tag)
+
     def post(self, src, dst, payload, nbytes, tag) -> None:
         """Callback-safe; bypasses the credit window."""
         self.endpoints[src].post(dst, payload, nbytes, tag=tag)

@@ -12,9 +12,9 @@ wall-clock values, ids, or hashes are emitted.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
+from ..util.canonical import canonical_json
 from .tracer import Tracer
 
 __all__ = ["to_chrome", "chrome_dumps", "write_chrome_trace"]
@@ -117,7 +117,7 @@ def to_chrome(tracer: Tracer) -> dict[str, Any]:
 
 def chrome_dumps(tracer: Tracer) -> str:
     """Serialise to a canonical JSON string (stable across runs)."""
-    return json.dumps(to_chrome(tracer), sort_keys=True, separators=(",", ":"))
+    return canonical_json(to_chrome(tracer))
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> str:

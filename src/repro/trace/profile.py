@@ -9,9 +9,9 @@ stage (per-stage rate/occupancy, §3.3's load feedback).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from ..util.canonical import canonical_json
 from .tracer import Tracer
 
 __all__ = ["StageProfile", "ProfileReport"]
@@ -90,7 +90,7 @@ class ProfileReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def render(self) -> str:
         """Aligned text table (lazy import keeps trace free of bench deps).

@@ -13,11 +13,7 @@ from repro.core import DSMConfig
 from repro.dsmsort import DsmSortJob
 from repro.faults import FaultPlan, crash_asu, drop_msg
 from repro.resilience import RetryPolicy
-from repro.resilience.chaos import (
-    ResilientFilterScan,
-    chaos_params,
-    run_chaos,
-)
+from repro.resilience.chaos import _filterscan_job, _policy_for, chaos_params, run_chaos
 
 N_SMALL = 1 << 12
 
@@ -62,28 +58,54 @@ class TestTransportValidation:
             self._job().run_pass1(deadline=1.0)
 
 
-class TestResilientFilterScan:
+class TestReliableFilterScan:
+    """The chaos app's filter-scan: ``FilterScanJob`` on the reliable mesh."""
+
     def test_fault_free_exact_multiset(self):
-        app = ResilientFilterScan(chaos_params(), N_SMALL, seed=0)
-        res = app.run()
-        assert res["completed"]
-        assert list(res["keys"]) == list(app.expected_keys())
-        assert res["n_degraded_blocks"] == 0
+        job = _filterscan_job(N_SMALL, RetryPolicy())
+        res, out = job.run()
+        assert res.completed
+        job.verify(out)
+        assert res.n_degraded_blocks == 0
 
     def test_exact_multiset_under_drop_window(self):
-        params = chaos_params()
-        base = ResilientFilterScan(params, N_SMALL, seed=0)
-        t0 = base.run()["makespan"]
+        t0 = _filterscan_job(N_SMALL, RetryPolicy()).run()[0].makespan
         # Fragment traffic is front-loaded, so the window must open at t=0
         # to catch first transmissions (retries then land after it closes).
         plan = FaultPlan(
             [drop_msg(0.0, h, d, 0.5 * t0) for h in range(2) for d in range(4)]
         )
-        app = ResilientFilterScan(params, N_SMALL, seed=0, faults=plan)
-        res = app.run(deadline=12.0 * t0)
-        assert res["completed"]
-        assert list(res["keys"]) == list(app.expected_keys())
-        assert res["channel_stats"]["n_retransmits"] > 0
+        job = _filterscan_job(N_SMALL, RetryPolicy(), faults=plan)
+        res, out = job.run(deadline=12.0 * t0)
+        assert res.completed
+        job.verify(out)
+        assert res.channel_stats["n_retransmits"] > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_a_block_retransmitted_after_its_eof_still_counts(self, k):
+        # A drop window as long as k fault-free scans: the EOF that follows
+        # a dropped block is delivered first, and the sink must keep waiting
+        # for the block's retransmission instead of stopping at the D-th EOF.
+        t0 = _filterscan_job(N_SMALL, RetryPolicy()).run()[0].makespan
+        plan = FaultPlan([drop_msg(0.0, 0, d, k * t0) for d in range(4)])
+        job = _filterscan_job(N_SMALL, _policy_for(t0), faults=plan)
+        res, out = job.run(deadline=12.0 * t0)
+        assert res.completed
+        job.verify(out)
+
+    def test_breaker_open_links_ship_raw_blocks_for_the_host_to_filter(self):
+        n = 1 << 13
+        t0 = _filterscan_job(n, RetryPolicy()).run()[0].makespan
+        # A two-message window and a short timeout trip the breakers within
+        # the drop window, so some active blocks go out unfiltered.
+        policy = RetryPolicy(timeout=t0 / 50, max_backoff=t0 / 10, window=2)
+        plan = FaultPlan([drop_msg(0.0, 0, d, 0.5 * t0) for d in range(4)])
+        job = _filterscan_job(n, policy, faults=plan)
+        res, out = job.run(deadline=20.0 * t0)
+        assert res.completed
+        job.verify(out)
+        assert (res.n_degraded_blocks, res.n_breaker_trips) == (7, 9)
+        assert res.n_selected == out.shape[0] == 4046
 
 
 class TestRunChaos:

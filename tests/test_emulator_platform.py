@@ -75,8 +75,9 @@ class TestRunReport:
             yield from asu.disk_read(platform.params.disk_rate)  # exactly 1s of I/O
             return "ok"
 
-        report = platform.run_to_completion(lambda plat: main(plat))
-        assert report.result == "ok"
+        p = platform.spawn(main(platform))
+        report = platform.run(wait_for=[p])
+        assert p.value == "ok"
         assert report.makespan == pytest.approx(1.0, rel=0.05)
         assert len(report.host_util) == 2
         assert len(report.asu_cpu_util) == 4
@@ -88,14 +89,15 @@ class TestRunReport:
             msg = yield from platform.hosts[0].recv()
             return msg
 
+        p = platform.spawn(main(platform))
         with pytest.raises(RuntimeError, match="never finished"):
-            platform.run_to_completion(lambda plat: main(plat))
+            platform.run(wait_for=[p])
 
     def test_report_as_dict(self, platform):
         def main(_plat):
             yield platform.sim.timeout(1.0)
 
-        report = platform.run_to_completion(lambda plat: main(plat))
+        report = platform.run(wait_for=[platform.spawn(main(platform))])
         d = report.as_dict()
         assert d["makespan"] == pytest.approx(1.0)
         assert "host_util" in d and "net_bytes" in d
@@ -108,6 +110,29 @@ class TestRunReport:
         with pytest.raises(RuntimeError, match="never finished"):
             platform.run(wait_for=[p])
 
+    def test_wait_for_stops_the_clock_when_the_awaited_processes_finish(self, platform):
+        def ticker():
+            while True:
+                yield platform.sim.timeout(0.3)
+
+        platform.spawn(ticker())
+        p = platform.spawn(platform.asus[0].disk_read(platform.params.disk_rate))
+        report = platform.run(wait_for=[p])
+        assert report.makespan == platform.sim.now == pytest.approx(1.0, rel=0.05)
+
+    def test_wait_for_reraises_a_failed_process(self, platform):
+        def broken():
+            yield platform.sim.timeout(0.1)
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            platform.run(wait_for=[platform.spawn(broken())])
+
+    def test_until_returns_a_partial_report_instead_of_raising(self, platform):
+        p = platform.spawn(platform.hosts[0].recv())
+        report = platform.run(wait_for=[p], until=0.5)
+        assert report.makespan == 0.5 and not p.triggered
+
     def test_determinism_across_platforms(self):
         def build():
             plat = ActivePlatform(SystemParams(n_hosts=1, n_asus=2))
@@ -119,6 +144,6 @@ class TestRunReport:
                 yield plat.sim.all_of([r0, r1])
                 return plat.sim.now
 
-            return plat.run_to_completion(lambda p: main(p)).makespan
+            return plat.run(wait_for=[plat.spawn(main(plat))]).makespan
 
         assert build() == build()

@@ -1,5 +1,7 @@
 """Tests for ASU-side filtering (the §2 bandwidth-reduction workload)."""
 
+import inspect
+
 import numpy as np
 
 from repro.apps.filterscan import FilterScanJob
@@ -71,3 +73,10 @@ class TestFilterScan:
         assert out.shape[0] == 0
         assert stats.n_selected == 0
         job.verify(out)
+
+    def test_one_app_takes_seven_options(self):
+        # The direct and the reliable scan are one class: 6 + 5 options -> 7.
+        assert list(inspect.signature(FilterScanJob).parameters) == [
+            "params", "n_records", "predicate", "workload", "seed",
+            "retry_policy", "faults",
+        ]

@@ -174,7 +174,7 @@ class TestTracedRun:
         def main(p):
             yield from p.asus[0].disk_read(1 << 20)
 
-        rep = plat.run_to_completion(main)
+        rep = plat.run(wait_for=[plat.spawn(main(plat))])
         payload = json.loads(rep.to_json())
         assert payload["makespan"] == rep.makespan
         assert rep.to_json() == rep.to_json()

@@ -206,15 +206,14 @@ class TestSeamRule:
         direct = _public_callables(DirectTransport)
         assert direct == _public_callables(ReliableTransport)
         assert set(direct) == {
-            "recv", "post", "wait_window", "reader", "healthy", "peer_lost",
-            "peer_back", "fence", "sender_for", "counters",
+            "recv", "send", "post", "wait_window", "reader", "healthy",
+            "peer_lost", "peer_back", "fence", "sender_for", "counters",
         }
 
     def test_both_readers_answer_the_same_calls(self):
         plat = ActivePlatform(SystemParams(n_hosts=1, n_asus=1))
         readers = [
-            T(plat, *args).reader(plat.asus[0], [4096])
-            for T, args in ((DirectTransport, (lambda *lost: None,)), (ReliableTransport, ()))
+            T(plat).reader(plat.asus[0], [4096]) for T in (DirectTransport, ReliableTransport)
         ]
         assert _public_callables(type(readers[0])) == _public_callables(type(readers[1]))
         assert set(_public_callables(type(readers[0]))) == {"arrive", "fetch"}

@@ -87,7 +87,7 @@ class TestRunReportRender:
         def main(_p):
             yield from plat.asus[0].disk_read(1 << 20)
 
-        report = plat.run_to_completion(lambda p: main(p))
+        report = plat.run(wait_for=[plat.spawn(main(plat))])
         text = report.render()
         for node in ("host0", "host1", "asu0", "asu1", "asu2"):
             assert node in text
