@@ -24,6 +24,7 @@ run; by default the manager owns a private one.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ class InstanceStats:
     __slots__ = ("_lm", "_i")
 
     def __init__(self, lm: "LoadManager", i: int):
-        self._lm = lm
+        self._lm = weakref.proxy(lm)  # the manager owns its stats views
         self._i = i
 
     @property

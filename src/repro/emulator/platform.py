@@ -199,6 +199,28 @@ class ActivePlatform:
                 )
         return self.report()
 
+    def close(self) -> None:
+        """Release what a finished run holds, so its owner is freed by
+        reference counting rather than left to the cycle collector.
+
+        Closes every live process generator (a perpetual worker's frame
+        holds the application that spawned it) and drops what waits on it —
+        it will never finish; then drops the queued events (their callbacks
+        hold suspended processes and in-flight payloads), then unhooks the
+        network's dead-letter callback and the tracer and metrics registry.
+        Devices and counters stay readable; the clock does not move.
+        """
+        for p in self._procs:
+            if not p.triggered:
+                p._gen.close()
+                p.callbacks.clear()
+        self.sim.discard_queue()
+        self.network.dead_letter_hook = None
+        # The observers outlive the run (the caller reads them); the
+        # simulator's internal cycles must not keep them alive as well.
+        self.sim.tracer = None
+        self.sim.metrics = self.metrics = None
+
     def _stop_when_done(self, done) -> None:
         if not done.ok:
             raise done.value  # a process crashed: surface its exception

@@ -28,6 +28,7 @@ drawn from the policy's own RNG stream.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,7 +113,7 @@ class Speculator:
     def __init__(self, job, policy: SpeculationPolicy):
         if job.metrics is None:
             raise ValueError("speculation requires a metrics registry")
-        self.job = job
+        self.job = weakref.proxy(job)  # the job owns its speculator
         self.policy = policy
         self.rng = np.random.default_rng(derive_seed(policy.seed, "speculate"))
         #: every decision, in firing order

@@ -36,9 +36,16 @@ __all__ = ["ReplicaPlacement", "SEGMENT"]
 #: width of each ASU's segment in the draw space.  The expected number of
 #: draws to land a shard is capacity / N, so the constant trades placement
 #: cost at small fleets against the maximum supported fleet size.
-SEGMENT = 1 << 16
+_SEGMENT_BITS = 16
+SEGMENT = 1 << _SEGMENT_BITS
+
+#: draws :meth:`ReplicaPlacement.ranked` computes per NumPy pass.  A walk to
+#: the first two distinct ASUs of 16 at ``capacity=1024`` takes ~130 draws
+#: (median 107, p90 ~250), so one block usually serves a whole replica set.
+_BLOCK = 256
 
 _MASK = (1 << 64) - 1
+_MULT = 0x2545F4914F6CDD1D
 
 
 def _splitmix64(x: int) -> int:
@@ -47,6 +54,22 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` elementwise over a ``uint64`` array, in place
+    (array arithmetic wraps modulo 2**64, as the scalar form masks)."""
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+_BLOCK_OFFSETS = np.arange(_BLOCK, dtype=np.uint64)
+_SEGMENT_SHIFT = np.uint64(_SEGMENT_BITS)
 
 
 class ReplicaPlacement:
@@ -75,31 +98,48 @@ class ReplicaPlacement:
         # perturbs the high bits, so distinct seeds give unrelated streams.
         self._seed_mix = _splitmix64(self.seed)
         self._space = self.capacity * SEGMENT
+        # The block walk's operands, converted once.
+        self._seed_u64 = np.uint64(self._seed_mix)
+        self._space_u64 = np.uint64(self._space)
+        self._limit_u64 = np.uint64(self.n_asus * SEGMENT)
 
     def _draw(self, shard: int, k: int) -> int:
+        """Draw ``k`` of ``shard``'s sequence — the scalar definition that
+        :meth:`_accepted` computes a block at a time."""
         h = _splitmix64(
-            (((shard & _MASK) * 0x2545F4914F6CDD1D + k) & _MASK)
+            (((shard & _MASK) * _MULT + k) & _MASK)
             ^ self._seed_mix
         )
         return h % self._space
+
+    def _accepted(self, shard: int, k0: int) -> list[int]:
+        """ASU indices of the draws ``k0 .. k0 + _BLOCK - 1`` of ``shard``
+        that land in the assigned region, in draw order."""
+        x = _BLOCK_OFFSETS + np.uint64(((shard & _MASK) * _MULT + k0) & _MASK)
+        x ^= self._seed_u64
+        _splitmix64_array(x)
+        x %= self._space_u64
+        return (x[x < self._limit_u64] >> _SEGMENT_SHIFT).tolist()
 
     def ranked(self, shard: int):
         """Lazily rank the whole fleet for ``shard``: yields every ASU index
         exactly once, in replica-rank order, drawing only as far as the
         caller consumes (the walk to the *last* ranks is a coupon-collector
-        problem over the rejection sampler — callers want the first few)."""
-        limit = self.n_asus * SEGMENT
+        problem over the rejection sampler — callers want the first few).
+
+        Draws come a block at a time (:meth:`_accepted`); the ranking is the
+        scalar walk's over :meth:`_draw`, draw for draw."""
+        n = self.n_asus
         chosen: set[int] = set()
         k = 0
-        while len(chosen) < self.n_asus:
-            x = self._draw(shard, k)
-            k += 1
-            if x >= limit:
-                continue
-            d = x // SEGMENT
-            if d not in chosen:
-                chosen.add(d)
-                yield d
+        while True:
+            for d in self._accepted(shard, k):
+                if d not in chosen:
+                    chosen.add(d)
+                    yield d
+                    if len(chosen) == n:
+                        return
+            k += _BLOCK
 
     def replicas(self, shard: int, r: int) -> tuple[int, ...]:
         """Ordered replica set of ``min(r, n_asus)`` distinct ASU indices."""
@@ -116,24 +156,18 @@ class ReplicaPlacement:
         shards = np.asarray(shards, dtype=np.uint64)
         out = np.full(shards.shape, -1, dtype=np.int64)
         pending = np.arange(shards.size, dtype=np.int64)
-        limit = np.uint64(self.n_asus * SEGMENT)
-        seed = np.uint64(self._seed_mix)
-        mult = np.uint64(0x2545F4914F6CDD1D)
+        limit = self._limit_u64
+        seed = self._seed_u64
+        mult = np.uint64(_MULT)
         k = 0
-        with np.errstate(over="ignore"):
-            while pending.size:
-                x = shards[pending] * mult + np.uint64(k)
-                x ^= seed
-                # splitmix64, elementwise
-                x = x + np.uint64(0x9E3779B97F4A7C15)
-                x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-                x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-                x = x ^ (x >> np.uint64(31))
-                x = x % np.uint64(self._space)
-                hit = x < limit
-                out[pending[hit]] = (x[hit] // np.uint64(SEGMENT)).astype(np.int64)
-                pending = pending[~hit]
-                k += 1
+        while pending.size:
+            x = shards[pending] * mult + np.uint64(k)
+            x ^= seed
+            x = _splitmix64_array(x) % self._space_u64
+            hit = x < limit
+            out[pending[hit]] = (x[hit] // np.uint64(SEGMENT)).astype(np.int64)
+            pending = pending[~hit]
+            k += 1
         return out
 
     def __repr__(self) -> str:

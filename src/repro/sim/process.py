@@ -61,12 +61,21 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
-        exc = Interrupt(cause)
         kick = Event(self.sim)
-        kick.callbacks.append(lambda _ev: self._step(exc, throw=True))
+        kick.callbacks.append(self._throw_interrupt)
         kick._ok = True
-        kick._value = None
+        kick._value = Interrupt(cause)
         self.sim._post(kick)
+
+    def _throw_interrupt(self, kick: Event) -> None:
+        exc = kick._value
+        try:
+            self._step(exc, throw=True)
+        finally:
+            # The traceback of a handled interrupt pins every frame it
+            # crossed — and through their callers, whatever spawned this
+            # process — in a reference cycle.  Nothing reads it: drop it.
+            exc.__traceback__ = None
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:

@@ -157,7 +157,9 @@ def stable_key_order(keys: np.ndarray) -> np.ndarray:
     vectorised unstable sort on contiguous words instead of a timsort over a
     strided key column — and the low halves of the sorted words are the
     answer.  Wider or non-unsigned keys, 2^32 keys or more, and short runs
-    (``_PACKED_MIN``) take the argsort itself.
+    (``_PACKED_MIN``) take the argsort itself, through the array's own
+    method (the same sort without ``np.argsort``'s Python dispatch, which
+    costs more than sorting a four-record run).
     """
     n = keys.shape[0]
     if keys.dtype.kind == "u" and keys.dtype.itemsize <= 4 and _PACKED_MIN <= n < 1 << 32:
@@ -167,7 +169,7 @@ def stable_key_order(keys: np.ndarray) -> np.ndarray:
         words.sort()
         words &= _LOW_WORD
         return words.astype(np.intp)
-    return np.argsort(keys, kind="stable")
+    return keys.argsort(kind="stable")
 
 
 def sort_records(batch: np.ndarray) -> np.ndarray:

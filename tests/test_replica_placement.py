@@ -13,9 +13,24 @@ The two properties the replication layer depends on:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.replica import SEGMENT, ReplicaPlacement
-from repro.replica.placement import _splitmix64
+from repro.replica.placement import _BLOCK, _splitmix64
+
+
+def scalar_walk(p: ReplicaPlacement, shard: int):
+    """The scalar rejection walk over ``_draw``: yields ``(k, asu)`` — each
+    newly ranked ASU with the number of draws consumed to reach it."""
+    limit = p.n_asus * SEGMENT
+    chosen: set[int] = set()
+    k = 0
+    while len(chosen) < p.n_asus:
+        x = p._draw(shard, k)
+        k += 1
+        if x < limit and x // SEGMENT not in chosen:
+            chosen.add(x // SEGMENT)
+            yield k, x // SEGMENT
 
 
 class TestDraws:
@@ -96,6 +111,42 @@ class TestDraws:
         # Known-answer test for the underlying mix (splitmix64 of 0 and 1).
         assert _splitmix64(0) == 0xE220A8397B1DCDAF
         assert _splitmix64(1) == 0x910A2DEC89025CC1
+
+
+class TestBlockWalk:
+    """``ranked`` computes its draws a NumPy block at a time; the ranking
+    must be the scalar walk's over ``_draw``, draw for draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        extra=st.sampled_from([0, 1, 7, 64, 1024]),
+        seed=st.integers(0, (1 << 32) - 1),
+        shard=st.one_of(
+            st.integers(0, (1 << 40) - 1),
+            st.integers(1 << 63, (1 << 64) - 1),
+        ),
+    )
+    def test_block_walk_equals_scalar_walk(self, n, extra, seed, shard):
+        p = ReplicaPlacement(n, capacity=n + extra, seed=seed)
+        assert list(p.ranked(shard)) == [d for _k, d in scalar_walk(p, shard)]
+
+    def test_walks_crossing_block_boundaries(self):
+        # 1 accept in 1024 at capacity 1024 with one ASU: the first hit
+        # lies blocks deep for most shards.
+        p = ReplicaPlacement(1, capacity=1024, seed=5)
+        deep = 0
+        for shard in range(40):
+            ((k, d),) = scalar_walk(p, shard)
+            assert list(p.ranked(shard)) == [d]
+            deep += k > _BLOCK
+        assert deep > 20
+
+    def test_primaries_match_the_walk_beyond_2_63(self):
+        p = ReplicaPlacement(9, capacity=32, seed=3)
+        shards = [(1 << 63) + i * 977 for i in range(64)] + [(1 << 64) - 1]
+        vec = p.primaries(np.array(shards, dtype=np.uint64))
+        assert vec.tolist() == [next(scalar_walk(p, s))[1] for s in shards]
 
 
 class TestUniformity:

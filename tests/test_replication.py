@@ -34,6 +34,7 @@ from repro.replica import (
 )
 
 from .test_ledger_counters import CELLS
+from .test_replica_placement import scalar_walk
 
 N = 1 << 13
 HB = dict(heartbeat_interval=0.002, heartbeat_timeout=0.008)
@@ -326,19 +327,27 @@ class TestCandidateWalk:
     """``_candidates`` ranks only as deep as its caller consumes."""
 
     def test_draw_count_ratchet(self, monkeypatch):
-        # Exact ``_draw`` calls of the ledger's guarded@2^12/r2 pass 1 (the
-        # eager full-fleet ranking drew 3,570,518).  Regenerate only for a
-        # deliberate placement change.
-        calls = [0]
-        draw = ReplicaPlacement._draw
+        # Exact draws *consumed* by the walks of the ledger's guarded@2^12/r2
+        # pass 1 (the eager full-fleet ranking drew 3,570,518): per walk, the
+        # draws up to the last ASU its caller took, read off the scalar walk
+        # over ``_draw``.  ``ranked`` computes draws a block at a time, so
+        # this counts what the walk uses, not what a block computes — and
+        # checks every ranked ASU against the scalar walk on the way.
+        # Regenerate only for a deliberate placement change.
+        consumed = [0]
+        ranked = ReplicaPlacement.ranked
 
-        def counted(self, shard, k):
-            calls[0] += 1
-            return draw(self, shard, k)
+        def counted(self, shard):
+            used = 0
+            for (k, d), got in zip(scalar_walk(self, shard), ranked(self, shard)):
+                assert got == d
+                consumed[0] += k - used
+                used = k
+                yield got
 
-        monkeypatch.setattr(ReplicaPlacement, "_draw", counted)
+        monkeypatch.setattr(ReplicaPlacement, "ranked", counted)
         CELLS["guarded@2^12/r2"]().run_pass1()
-        assert calls[0] == 133_273
+        assert consumed[0] == 133_273
 
     @settings(max_examples=40, deadline=None)
     @given(
