@@ -617,8 +617,8 @@ class Injector:
         self._armed = True
         now = self.plat.sim.now
         for f in self.plan:
-            self.plat.sim.schedule_callback(
-                lambda fault=f: self._fire(fault), delay=max(0.0, f.t - now)
+            self.plat.sim.schedule(
+                lambda _ev, fault=f: self._fire(fault), delay=max(0.0, f.t - now)
             )
 
     # -- firing ---------------------------------------------------------------
@@ -657,8 +657,8 @@ class Injector:
                 node.disk.set_fault_window(t, t + f.duration)
             else:  # degrade
                 node.cpu.set_speed(f.factor)
-                self.plat.sim.schedule_callback(
-                    lambda cpu=node.cpu: cpu.set_speed(1.0), delay=f.duration
+                self.plat.sim.schedule(
+                    lambda _ev, cpu=node.cpu: cpu.set_speed(1.0), delay=f.duration
                 )
         self.injected.append(f)
         tracer = self.plat.sim.tracer

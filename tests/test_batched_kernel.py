@@ -2,7 +2,7 @@
 
 Covers the semantics the bucketed same-timestamp drain must preserve exactly
 (FIFO ``_seq`` order, composite conditions over processed events,
-``schedule_callback`` vs same-time ``Timeout`` ordering, ``stop()``
+``schedule`` callbacks vs same-time ``Timeout`` ordering, ``stop()``
 mid-batch), the ``run(until=)`` clock fix, the open-interval
 ``utilization_series`` fix, the amortized ``IntervalAccumulator.insert``,
 the vectorized ``charge_batch`` paths, and the parallel sweep harness.
@@ -34,7 +34,7 @@ class TestRunUntilClock:
 
     def test_early_break_before_next_event(self, sim):
         fired = []
-        sim.schedule_callback(lambda: fired.append(sim.now), delay=5.0)
+        sim.schedule(lambda _ev: fired.append(sim.now), delay=5.0)
         sim.run(until=3.0)
         assert sim.now == 3.0
         assert fired == []
@@ -63,7 +63,7 @@ class TestSameInstantSemantics:
     def test_seq_fifo_within_batch(self, sim):
         order = []
         for i in range(5):
-            sim.schedule_callback(lambda i=i: order.append(i), delay=1.0)
+            sim.schedule(lambda _ev, i=i: order.append(i), delay=1.0)
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
@@ -74,10 +74,10 @@ class TestSameInstantSemantics:
             order.append("first")
             # Posted while the t=1 batch drains: runs after 'second', at the
             # batch tail — exactly where the (t, seq) heap would put it.
-            sim.schedule_callback(lambda: order.append("tail"))
+            sim.schedule(lambda _ev: order.append("tail"))
 
-        sim.schedule_callback(first, delay=1.0)
-        sim.schedule_callback(lambda: order.append("second"), delay=1.0)
+        sim.schedule(lambda _ev: first(), delay=1.0)
+        sim.schedule(lambda _ev: order.append("second"), delay=1.0)
         sim.run()
         assert order == ["first", "second", "tail"]
 
@@ -85,7 +85,7 @@ class TestSameInstantSemantics:
         order = []
         t1 = sim.timeout(1.0)
         t1.callbacks.append(lambda _e: order.append("t1"))
-        sim.schedule_callback(lambda: order.append("cb"), delay=1.0)
+        sim.schedule(lambda _ev: order.append("cb"), delay=1.0)
         t2 = sim.timeout(1.0)
         t2.callbacks.append(lambda _e: order.append("t2"))
         sim.run()
@@ -135,20 +135,20 @@ class TestSameInstantSemantics:
 
     def test_stop_mid_batch_preserves_rest_of_batch(self, sim):
         order = []
-        sim.schedule_callback(lambda: order.append("a"), delay=1.0)
+        sim.schedule(lambda _ev: order.append("a"), delay=1.0)
 
         def stopper():
             order.append("stop")
             sim.stop("halted")
 
-        sim.schedule_callback(stopper, delay=1.0)
-        sim.schedule_callback(lambda: order.append("b"), delay=1.0)
+        sim.schedule(lambda _ev: stopper(), delay=1.0)
+        sim.schedule(lambda _ev: order.append("b"), delay=1.0)
         got = sim.run()
         assert got == "halted"
         assert order == ["a", "stop"]
         # The partially drained batch survives; resuming processes 'b' at
         # the same instant, before anything later.
-        sim.schedule_callback(lambda: order.append("later"), delay=5.0)
+        sim.schedule(lambda _ev: order.append("later"), delay=5.0)
         sim.run()
         assert order == ["a", "stop", "b", "later"]
         assert sim.now == 6.0
@@ -156,7 +156,7 @@ class TestSameInstantSemantics:
     def test_step_resumes_partial_batch(self, sim):
         order = []
         for i in range(3):
-            sim.schedule_callback(lambda i=i: order.append(i), delay=1.0)
+            sim.schedule(lambda _ev, i=i: order.append(i), delay=1.0)
         sim.step()
         assert order == [0]
         sim.step()
@@ -171,7 +171,7 @@ class TestUtilizationSeriesOpenInterval:
 
     def test_open_interval_counted(self, sim):
         bt = BusyTracker(sim, name="dev")
-        sim.schedule_callback(bt.begin, delay=1.0)
+        sim.schedule(lambda _ev: bt.begin(), delay=1.0)
         sim.run()
         sim.timeout(3.0)
         sim.run()  # now = 4.0, segment open since t=1
@@ -183,8 +183,8 @@ class TestUtilizationSeriesOpenInterval:
     def test_matches_closed_interval_series(self, sim):
         open_bt = BusyTracker(sim, name="open")
         closed_bt = BusyTracker(sim, name="closed")
-        sim.schedule_callback(open_bt.begin, delay=0.5)
-        sim.schedule_callback(closed_bt.begin, delay=0.5)
+        sim.schedule(lambda _ev: open_bt.begin(), delay=0.5)
+        sim.schedule(lambda _ev: closed_bt.begin(), delay=0.5)
         sim.run()
         sim.timeout(2.5)
         sim.run()  # now = 3.0

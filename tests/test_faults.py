@@ -355,8 +355,8 @@ class TestInjector:
         plat.network.dead_letter_hook = seen.append
         Injector(plat, FaultPlan([crash_asu(0.1, 0)])).arm()
         asu_id = plat.asus[0].node_id
-        plat.sim.schedule_callback(
-            lambda: plat.network.post("host0", asu_id, "late", 64), delay=0.5
+        plat.sim.schedule(
+            lambda _ev: plat.network.post("host0", asu_id, "late", 64), delay=0.5
         )
         plat.sim.run(until=2.0)
         assert plat.network.n_dropped == 1
@@ -368,8 +368,8 @@ class TestInjector:
         cpu = plat.asus[1].cpu
         Injector(plat, FaultPlan([degrade_asu(0.2, 1, 0.25, 0.3)])).arm()
         speeds = {}
-        plat.sim.schedule_callback(
-            lambda: speeds.setdefault("during", cpu.speed_factor), delay=0.3
+        plat.sim.schedule(
+            lambda _ev: speeds.setdefault("during", cpu.speed_factor), delay=0.3
         )
         plat.sim.run(until=1.0)
         assert speeds["during"] == 0.25
@@ -406,8 +406,8 @@ class TestInjector:
             arrivals.append((plat.sim.now, msg.payload))
 
         plat.spawn(receiver())
-        plat.sim.schedule_callback(
-            lambda: plat.network.post("host0", "asu0", "hi", 8), delay=0.1
+        plat.sim.schedule(
+            lambda _ev: plat.network.post("host0", "asu0", "hi", 8), delay=0.1
         )
         plat.sim.run(until=2.0)
         # Delivery would normally land ~0.1 + latency; the flap holds it to 0.5.
@@ -487,9 +487,9 @@ class TestFailureDetector:
 
         def resume():
             det._last_beat["asu0"] = plat.sim.now
-            plat.sim.schedule_callback(resume, delay=det.interval)
+            plat.sim.schedule(lambda _ev: resume(), delay=det.interval)
 
-        plat.sim.schedule_callback(resume, delay=0.40625)
+        plat.sim.schedule(lambda _ev: resume(), delay=0.40625)
         plat.sim.run(until=3.0)
         assert det.detected == {} and calls == []
 
@@ -507,11 +507,11 @@ class TestFailureDetector:
         def resume():
             det._last_beat["asu2"] = plat.sim.now
             if plat.sim.now < 1.5:
-                plat.sim.schedule_callback(resume, delay=det.interval)
+                plat.sim.schedule(lambda _ev: resume(), delay=det.interval)
 
         # Beats resume one beat interval after the declaration at t=0.5625,
         # then stop again at t=1.5 — neither event may re-fire recovery.
-        plat.sim.schedule_callback(resume, delay=0.625)
+        plat.sim.schedule(lambda _ev: resume(), delay=0.625)
         plat.sim.run(until=4.0)
         det.declare_failed(plat.asus[2])  # explicit re-declare: idempotent
         assert calls == [("asu2", 0.5625)]

@@ -124,9 +124,10 @@ class TestOffPath:
     def test_a_bare_run_enters_no_hook(self, engine, entered):
         job = _job(**ENGINES[engine]())
         job.run_pass1()
-        sim = job.platform.sim
-        assert sim.tracer is None and sim.metrics is None
-        assert sim.n_events_processed > 1000  # a real pass 1 ran
+        # The job attaches no observer (the platform unhooks its observers
+        # when the pass closes, so the simulator's own fields prove nothing).
+        assert job.tracer is None and job.metrics is None
+        assert job.platform.sim.n_events_processed > 1000  # a real pass 1 ran
         assert not entered
 
     def test_a_traced_run_enters_every_hook(self, entered):

@@ -148,8 +148,8 @@ class TestNetPartitionEnforcement:
             arrivals.append((plat.sim.now, msg.payload))
 
         plat.spawn(receiver())
-        plat.sim.schedule_callback(
-            lambda: net.post(src, dst, "probe", 8), delay=send_at
+        plat.sim.schedule(
+            lambda _ev: net.post(src, dst, "probe", 8), delay=send_at
         )
         plat.sim.run(until=until)
         return arrivals, net
@@ -194,9 +194,9 @@ class TestNetPartitionEnforcement:
                 arrivals.append(plat.sim.now)
 
         plat.spawn(receiver())
-        plat.sim.schedule_callback(lambda: net.heal_partitions(plat.sim.now), delay=0.5)
-        plat.sim.schedule_callback(
-            lambda: net.post("host0", "asu1", "hello", 8), delay=0.6
+        plat.sim.schedule(lambda _ev: net.heal_partitions(plat.sim.now), delay=0.5)
+        plat.sim.schedule(
+            lambda _ev: net.post("host0", "asu1", "hello", 8), delay=0.6
         )
         plat.sim.run(until=2.0)
         assert len(arrivals) == 1
@@ -216,11 +216,11 @@ class TestNetPartitionEnforcement:
 
         plat.spawn(receiver())
         # At t=0.3 the cut is live; at t=0.7 the heal has ended it early.
-        plat.sim.schedule_callback(
-            lambda: plat.network.post("host0", "asu1", "a", 8), delay=0.3
+        plat.sim.schedule(
+            lambda _ev: plat.network.post("host0", "asu1", "a", 8), delay=0.3
         )
-        plat.sim.schedule_callback(
-            lambda: plat.network.post("host0", "asu1", "b", 8), delay=0.7
+        plat.sim.schedule(
+            lambda _ev: plat.network.post("host0", "asu1", "b", 8), delay=0.7
         )
         plat.sim.run(until=2.0)
         assert [f.kind for f in inj.injected] == ["partition", "heal"]
@@ -371,8 +371,8 @@ class TestNetworkDetector:
         net = plat.network
         net.set_msg_fault("host0", "asu1", "drop_msg", 0.5, 3.0)
         seen = []
-        plat.sim.schedule_callback(
-            lambda: seen.append(det.state["asu1"]), delay=2.5
+        plat.sim.schedule(
+            lambda _ev: seen.append(det.state["asu1"]), delay=2.5
         )
         plat.sim.run(until=5.0)
         det.stop()
@@ -401,8 +401,8 @@ class TestNetworkDetector:
         det.start()
         Injector(plat, FaultPlan([partition(0.5, [1], duration=1.0)])).arm()
         peaks = []
-        plat.sim.schedule_callback(
-            lambda: peaks.append(m.gauge("repro_failures_suspected").value),
+        plat.sim.schedule(
+            lambda _ev: peaks.append(m.gauge("repro_failures_suspected").value),
             delay=0.9,  # mid-cut: suspected or unreachable
         )
         plat.sim.run(until=4.0)

@@ -161,6 +161,22 @@ class TestRegistry:
         with pytest.raises(TypeError, match="already registered"):
             reg.gauge("repro_x_total", node="a")
 
+    def test_memo_answers_like_the_canonical_key(self):
+        # ``_get`` memoises labels in call order; the series is still named
+        # by the sorted, str-rendered key, whatever the spelling.
+        reg = MetricsRegistry()
+        a = reg.counter("repro_x_total", node="a", stage="s")
+        assert reg.counter("repro_x_total", stage="s", node="a") is a
+        one = reg.counter("repro_y_total", k=1)
+        assert reg.counter("repro_y_total", k="1") is one
+        # 1 == 1.0 == True hash alike but render as three series.
+        assert reg.counter("repro_y_total", k=True) is not one
+        assert reg.counter("repro_y_total", k=1.0) is not one
+        assert reg.counter("repro_y_total", k=1) is one
+        assert len(reg) == 4
+        with pytest.raises(TypeError, match="already registered"):
+            reg.histogram("repro_x_total", stage="s", node="a")
+
 
 # ---------------------------------------------------------------------------
 # Metered DSM-Sort: determinism and zero perturbation

@@ -10,7 +10,7 @@ from repro.sim import Simulator
 
 def advance(sim, to):
     """Move the clock to ``to`` (breaker transitions are lazy on the clock)."""
-    sim.schedule_callback(lambda: None, delay=to - sim.now)
+    sim.schedule(lambda _ev: None, delay=to - sim.now)
     sim.run()
 
 

@@ -197,7 +197,7 @@ class TestFlowControl:
             waited.append(w)
 
         plat.spawn(blocked(), name="blocked", node=src)
-        plat.sim.schedule_callback(lambda: ep.cancel_peer(dst.node_id), delay=0.1)
+        plat.sim.schedule(lambda _ev: ep.cancel_peer(dst.node_id), delay=0.1)
         plat.sim.run(until=1.0)
         assert waited and waited[0] > 0.0
         assert ep.inflight(dst.node_id) == 0
@@ -244,7 +244,7 @@ class TestBreakerIntegration:
         assert board.n_trips() >= 1
         # Advance past the cooldown (a no-op event keeps the clock moving
         # once the protocol traffic has drained).
-        plat.sim.schedule_callback(lambda: None, delay=2.0)
+        plat.sim.schedule(lambda _ev: None, delay=2.0)
         plat.sim.run(until=2.5)
         # ... but retransmission continues regardless and eventually lands a
         # success; after the cooldown the breaker leaves quarantine
@@ -294,7 +294,7 @@ class TestDedupCheckpointRestore:
         ep_dst2.restore_dedup(snap)
         plat.spawn(sender(ep_src2), name="s2", node=src)
         plat.spawn(receiver(ep_dst2), name="r2", node=dst)
-        plat.sim.schedule_callback(lambda: None, delay=2.0)
+        plat.sim.schedule(lambda _ev: None, delay=2.0)
         plat.sim.run(until=2.0)
         assert sorted(got) == list(range(8))  # no second delivery
         # every replayed message (plus any retransmissions) was dropped
@@ -333,7 +333,7 @@ class TestDedupCheckpointRestore:
         ep_dst2 = ReliableEndpoint(plat, dst, rng=rngs.get("b2"), policy=policy)
         plat.spawn(sender(ep_src2), name="s2", node=src)
         plat.spawn(receiver(ep_dst2), name="r2", node=dst)
-        plat.sim.schedule_callback(lambda: None, delay=2.0)
+        plat.sim.schedule(lambda _ev: None, delay=2.0)
         plat.sim.run(until=2.0)
         assert sorted(got) == sorted(list(range(4)) * 2)  # duplicates!
         assert ep_dst2.stats.n_delivered == 4  # all replays re-delivered
@@ -410,7 +410,7 @@ class TestPartitionLengthDelays:
         plat.spawn(receiver(), name="receiver", node=dst)
         plat.sim.run(until=0.15)
         assert board.n_trips() >= 1  # the delay storm opened the breaker
-        plat.sim.schedule_callback(lambda: None, delay=3.0)
+        plat.sim.schedule(lambda _ev: None, delay=3.0)
         plat.sim.run(until=3.5)
         assert sorted(got) == list(range(16))  # exactly once, no replays
         assert ep_dst.stats.n_dup_dropped > 0  # late copies were absorbed
@@ -438,8 +438,8 @@ class TestPartitionLengthDelays:
 
         plat.spawn(blocked(), name="blocked", node=src)
         fenced = []
-        plat.sim.schedule_callback(
-            lambda: fenced.extend(ep.fence_outbound(tags=("frags", "eof"))),
+        plat.sim.schedule(
+            lambda _ev: fenced.extend(ep.fence_outbound(tags=("frags", "eof"))),
             delay=0.05,
         )
         plat.sim.run(until=1.0)
@@ -480,10 +480,10 @@ class TestPartitionLengthDelays:
 
         plat.spawn(receiver(), name="receiver", node=dst)
         old = ep_src.post(dst.node_id, "stale", 64, tag="m")
-        plat.sim.schedule_callback(lambda: ep_src.cancel_peer(dst.node_id), delay=0.05)
-        plat.sim.schedule_callback(lambda: ep_src.revive_peer(dst.node_id), delay=0.3)
-        plat.sim.schedule_callback(
-            lambda: ep_src.post(dst.node_id, "fresh", 64, tag="m"), delay=0.4
+        plat.sim.schedule(lambda _ev: ep_src.cancel_peer(dst.node_id), delay=0.05)
+        plat.sim.schedule(lambda _ev: ep_src.revive_peer(dst.node_id), delay=0.3)
+        plat.sim.schedule(
+            lambda _ev: ep_src.post(dst.node_id, "fresh", 64, tag="m"), delay=0.4
         )
         plat.sim.run(until=2.0)
         assert got == ["fresh"]  # delivery resumed for post-revive traffic

@@ -61,13 +61,13 @@ class TestTimeout:
         with pytest.raises(SimError, match="delay"):
             sim.timeout(delay)
         with pytest.raises(SimError, match="delay"):
-            sim.schedule_callback(lambda: None, delay=delay)
+            sim.schedule(lambda _ev: None, delay=delay)
         sim.run()  # the queue was left intact
         assert sim.now == 1.0 and sim.n_events_processed == 1
 
     def test_zero_delay_still_accepted(self, sim):
         ran = []
-        sim.schedule_callback(lambda: ran.append("cb"), delay=0.0)
+        sim.schedule(lambda _ev: ran.append("cb"), delay=0.0)
         sim.timeout(0).callbacks.append(lambda e: ran.append("timeout"))
         sim.run()
         assert ran == ["cb", "timeout"] and sim.now == 0.0

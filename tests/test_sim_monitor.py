@@ -8,7 +8,7 @@ from repro.sim.monitor import BusyTracker, ProgressCounter
 
 def at(sim, t):
     """Advance the simulator clock to virtual time ``t``."""
-    sim.schedule_callback(lambda: None, delay=t - sim.now)
+    sim.schedule(lambda _ev: None, delay=t - sim.now)
     sim.run()
 
 

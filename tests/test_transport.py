@@ -51,7 +51,7 @@ class TestInDoubt:
         plat.network.set_msg_fault("asu3", "host0", "drop_msg", 0.0, 1.0, 0.0)
         net.post("asu3", "host0", "lost", 64, "frags")
         # The sender fails before its first retransmit timer (>= 1.5 ms) ...
-        plat.sim.schedule_callback(lambda: plat.fail_node("asu3"), delay=0.001)
+        plat.sim.schedule(lambda _ev: plat.fail_node("asu3"), delay=0.001)
         plat.sim.run(until=0.5)
         # ... which finds the node dead: nothing is resent, nobody is told.
         assert got == [] and dead == []
@@ -156,10 +156,10 @@ class TestFlowControlAndHealth:
             stalled.append(plat.sim.now)
 
         plat.spawn(sender(), name="sender", node=plat.asus[0])
-        plat.sim.schedule_callback(
-            lambda: stalled.append(lm.instances[1].backpressure), delay=0.05
+        plat.sim.schedule(
+            lambda _ev: stalled.append(lm.instances[1].backpressure), delay=0.05
         )
-        plat.sim.schedule_callback(lambda: net.peer_lost("host1"), delay=0.1)
+        plat.sim.schedule(lambda _ev: net.peer_lost("host1"), delay=0.1)
         plat.sim.run(until=0.5)
         assert stalled == [512, 0.1]  # reported while waiting, released by the cancel
         assert lm.instances[1].backpressure == 0
